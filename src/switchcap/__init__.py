@@ -49,16 +49,7 @@ from .qmatrix import (
     tensor,
     von_neumann_entropy,
 )
-from .supermaps import (
-    SupermapKind,
-    coh_of_coh,
-    coh_of_switch,
-    coherent_superposition,
-    fix_control,
-    switch,
-    switch_of_coh,
-    switch_of_switch,
-)
+from .supermaps import SupermapKind, coherent_superposition, fix_control, switch
 
 __version__ = "0.1.0"
 
@@ -78,10 +69,6 @@ __all__ = [
     "SupermapKind",
     "switch",
     "coherent_superposition",
-    "switch_of_switch",
-    "switch_of_coh",
-    "coh_of_switch",
-    "coh_of_coh",
     "fix_control",
     "Family",
     "family_channels",

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .configs import Family, build_fixed
+from .configs import Family, build_fixed, build_supermap
 from .infotheory import OptimizerConfig, classical_capacity, quantum_capacity
 from .oracle import CapacityType, closed_form, list_available
 from .supermaps import SupermapKind
@@ -188,12 +188,12 @@ def _capacity_result(kind, family, p, capacity_type, cfg, amps=None):
 def cmd_sweep(args) -> int:
     kind = SupermapKind(args.config)
     family = Family(args.family)
-    amps = None
-    if args.amps is not None:
-        if kind in (SupermapKind.SWITCH, SupermapKind.SWITCH_OF_SWITCH):
-            raise _UsageError(f"--amps does not apply to configuration {kind.token}")
-        amps = _parse_amps(args.amps)
+    amps = None if args.amps is None else _parse_amps(args.amps)
     grid = _grid(args.p_start, args.p_end, args.p_steps)
+    try:
+        build_supermap(kind, family, grid[0], amps)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     if args.capacity == "both":
         capacities = [CapacityType.CLASSICAL, CapacityType.QUANTUM]
     else:

@@ -19,20 +19,10 @@ from .channels import (
     bit_flip,
     concentrated_amplitudes,
     depolarizing,
-    normalized_amplitudes,
     phase_flip,
     vacuum_extend,
 )
-from .supermaps import (
-    SupermapKind,
-    coh_of_coh,
-    coh_of_switch,
-    coherent_superposition,
-    fix_control,
-    switch,
-    switch_of_coh,
-    switch_of_switch,
-)
+from .supermaps import SupermapKind, coherent_superposition, fix_control, switch
 
 __all__ = ["Family", "family_channels", "build_supermap", "build_fixed"]
 
@@ -82,15 +72,20 @@ def family_channels(family: Family, p: float, count: int) -> tuple:
     raise ValueError(f"unknown family {family}")
 
 
-def _extend_all(channels: Sequence[Channel], amps) -> tuple:
-    extended = []
-    for ch in channels:
-        if amps is None:
-            vec = concentrated_amplitudes(ch.n_kraus)
-        else:
-            vec = normalized_amplitudes(amps, ch.n_kraus)
-        extended.append(vacuum_extend(ch, vec))
-    return tuple(extended)
+def _superpose(pair: Sequence[Channel], amps) -> Channel:
+    """Superpose ``pair``, each vacuum-extended with ``amps`` (default concentrated)."""
+    return coherent_superposition(
+        *(
+            vacuum_extend(ch, concentrated_amplitudes(ch.n_kraus) if amps is None else amps)
+            for ch in pair
+        )
+    )
+
+
+_NO_AMPS = {
+    SupermapKind.SWITCH: "switch",
+    SupermapKind.SWITCH_OF_SWITCH: "switch of switch",
+}
 
 
 def build_supermap(
@@ -102,6 +97,10 @@ def build_supermap(
 ) -> Channel:
     """Compose the configuration ``kind`` over channels of ``family`` at ``p``.
 
+    Nested kinds apply an inner layer (two switches or two superpositions
+    of the family's channels) and then an outer ``switch`` or
+    ``coherent_superposition`` over the inner pair.
+
     ``amps`` supplies vacuum amplitudes where the construction extends
     channels onto the vacuum sector (all coherent-superposition branches;
     for ``COH_OF_SWITCH`` it is the outer amplitude vector over the inner
@@ -112,33 +111,20 @@ def build_supermap(
     chans = family_channels(family, p, kind.n_channels)
     if outer_amps is not None and kind is not SupermapKind.COH_OF_COH:
         raise ValueError(f"outer_amps only applies to coc, not {kind.token}")
+    if amps is not None and kind in _NO_AMPS:
+        raise ValueError(f"{_NO_AMPS[kind]} does not take vacuum amplitudes")
     if kind is SupermapKind.SWITCH:
-        if amps is not None:
-            raise ValueError("switch does not take vacuum amplitudes")
         return switch(*chans)
-    if kind is SupermapKind.SWITCH_OF_SWITCH:
-        if amps is not None:
-            raise ValueError("switch of switch does not take vacuum amplitudes")
-        return switch_of_switch(*chans)
     if kind is SupermapKind.COHERENT_SUP:
-        return coherent_superposition(*_extend_all(chans, amps))
-    if kind is SupermapKind.SWITCH_OF_COH:
-        return switch_of_coh(*_extend_all(chans, amps))
-    if kind is SupermapKind.COH_OF_COH:
-        outer = None
-        if outer_amps is not None:
-            n_inner = chans[0].n_kraus * chans[1].n_kraus
-            outer = normalized_amplitudes(outer_amps, n_inner)
-        return coh_of_coh(
-            *_extend_all(chans, amps), outer_amps_a=outer, outer_amps_b=outer
-        )
-    if kind is SupermapKind.COH_OF_SWITCH:
-        if amps is None:
-            return coh_of_switch(*chans)
-        inner_kraus = chans[0].n_kraus * chans[1].n_kraus
-        vec = normalized_amplitudes(amps, inner_kraus)
-        return coh_of_switch(*chans, outer_amps_a=vec, outer_amps_b=vec)
-    raise ValueError(f"unknown configuration {kind}")
+        return _superpose(chans, amps)
+    pairs = (chans[:2], chans[2:])
+    if kind in (SupermapKind.SWITCH_OF_SWITCH, SupermapKind.COH_OF_SWITCH):
+        inner = tuple(switch(*pair) for pair in pairs)
+    else:
+        inner = tuple(_superpose(pair, amps) for pair in pairs)
+    if kind in (SupermapKind.SWITCH_OF_SWITCH, SupermapKind.SWITCH_OF_COH):
+        return switch(*inner)
+    return _superpose(inner, amps if kind is SupermapKind.COH_OF_SWITCH else outer_amps)
 
 
 def build_fixed(

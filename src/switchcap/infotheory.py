@@ -103,15 +103,13 @@ class OptimizerConfig:
     ``restarts`` counts total Nelder-Mead runs (the canonical start plus
     ``restarts - 1`` random ones). ``tolerance`` is the absolute
     agreement, in bits, required between the two best restarts for the
-    run to be flagged converged. ``ensemble_size`` caps the number of
-    signaling states; the computational-basis ensemble uses two.
+    run to be flagged converged.
     """
 
     restarts: int = 6
     max_iterations: int = 400
     tolerance: float = 1e-6
     seed: int = 20240601
-    ensemble_size: int = 2
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -120,8 +118,6 @@ class OptimizerConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 2 <= self.ensemble_size <= 4:
-            raise ValueError("ensemble_size must lie in [2, 4]")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,14 +1,19 @@
-"""Higher-order compositions of channels: switch, path superposition, and nests.
+"""Higher-order compositions of channels: the switch and path superposition.
 
-Six configurations are provided. Two channels can be placed in an
+Two composition rules are provided. Two channels can be placed in an
 indefinite causal order controlled by a qubit (``switch``) or routed
-along superposed paths (``coherent_superposition``); each two-channel
-construction can then be nested once, giving four more:
+along superposed paths (``coherent_superposition`` of vacuum-extended
+channels). Both accept any pair of equal-dimension square channels,
+composed ones included, so the four nested configurations are
+compositions of the two rules:
 
-* ``switch_of_switch``   - a switch whose branches are switches,
-* ``coh_of_coh``         - a path superposition of path superpositions,
-* ``switch_of_coh``      - a switch whose branches are path superpositions,
-* ``coh_of_switch``      - a path superposition whose branches are switches.
+* ``sos`` - ``switch(switch(A, B), switch(C, D))``,
+* ``soc`` - ``switch`` of two coherent superpositions,
+* ``cos`` - ``coherent_superposition`` of two vacuum-extended switches,
+* ``coc`` - ``coherent_superposition`` of two vacuum-extended superpositions.
+
+:func:`switchcap.configs.build_supermap` assembles the six configurations
+from these rules.
 
 Every composition returns an ordinary :class:`~switchcap.channels.Channel`
 whose Kraus operators are built by literal substitution of the inner Kraus
@@ -16,9 +21,10 @@ lists, so the Kraus count multiplies (m inner times n inner operators give
 m*n composed ones).
 
 Ordering convention: composite spaces are control-major, ``control (x)
-target`` with any outer control first, and the block index of a direct-sum
-(path) construction is identified with the path-control basis index. The
-control qubit of branch order "first argument first" is ``|0>``.
+target`` with any outer control first, so a controlled operator
+``|0><0| (x) a + |1><1| (x) b`` is the direct sum ``a (+) b`` and the
+block index of a direct sum is the control basis index. The control
+qubit of branch order "first argument first" is ``|0>``.
 
 ``fix_control`` freezes the control factors at a pure state, yielding a
 rectangular-Kraus channel from the bare target space to the full output
@@ -32,27 +38,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    VacuumExtendedChannel,
-    concentrated_amplitudes,
-    normalized_amplitudes,
-)
-from .qmatrix import as_complex_matrix, plus_state, tensor
+from .channels import Channel, VacuumExtendedChannel
+from .qmatrix import as_complex_matrix, direct_sum, plus_state
 
 __all__ = [
     "SupermapKind",
     "switch",
     "coherent_superposition",
-    "switch_of_switch",
-    "coh_of_coh",
-    "switch_of_coh",
-    "coh_of_switch",
     "fix_control",
 ]
-
-_P0 = np.diag([1.0, 0.0]).astype(complex)
-_P1 = np.diag([0.0, 1.0]).astype(complex)
 
 
 class SupermapKind(Enum):
@@ -84,26 +78,17 @@ def _require_square_equal(channels: Sequence[Channel]) -> int:
     return d_in
 
 
-def _control_branches(first: Sequence[np.ndarray], second: Sequence[np.ndarray]) -> tuple:
-    """Kraus list ``|0><0| (x) A + |1><1| (x) B`` over paired branch operators."""
-    return tuple(tensor(_P0, a) + tensor(_P1, b) for a, b in zip(first, second))
-
-
 def switch(e1: Channel, e2: Channel) -> Channel:
     """Quantum switch of two channels, controlled by a fresh qubit.
 
     On control ``|0>`` the message traverses ``e1`` then ``e2``; on ``|1>``
     the order is reversed. The composed Kraus operators are
-    ``|0><0| (x) L_j K_i + |1><1| (x) K_i L_j`` over all Kraus pairs.
+    ``|0><0| (x) L_j K_i + |1><1| (x) K_i L_j = L_j K_i (+) K_i L_j`` over
+    all Kraus pairs.
     """
     _require_square_equal((e1, e2))
-    ordered, reversed_ = [], []
-    for k in e1.kraus:
-        for l in e2.kraus:
-            ordered.append(l @ k)
-            reversed_.append(k @ l)
     return Channel(
-        _control_branches(ordered, reversed_),
+        tuple(direct_sum(l @ k, k @ l) for k in e1.kraus for l in e2.kraus),
         (2,) + e1.input_dims,
         (2,) + e1.output_dims,
         label=f"switch[{e1.label}; {e2.label}]",
@@ -124,129 +109,15 @@ def coherent_superposition(
     """
     base1, base2 = e1.base, e2.base
     _require_square_equal((base1, base2))
-    path0, path1 = [], []
-    for i, k in enumerate(base1.kraus):
-        for j, l in enumerate(base2.kraus):
-            path0.append(k * e2.amps[j])
-            path1.append(e1.amps[i] * l)
     return Channel(
-        _control_branches(path0, path1),
+        tuple(
+            direct_sum(k * beta, alpha * l)
+            for k, alpha in zip(base1.kraus, e1.amps)
+            for l, beta in zip(base2.kraus, e2.amps)
+        ),
         (2,) + base1.input_dims,
         (2,) + base1.output_dims,
         label=f"cohsup[{base1.label}; {base2.label}]",
-    )
-
-
-def switch_of_switch(e1: Channel, e2: Channel, e3: Channel, e4: Channel) -> Channel:
-    """Switch whose two branches are themselves switches.
-
-    The two inner switches share one control qubit; the outer switch adds
-    a second. The composed operators are ``|0><0| (x) M2 M1 + |1><1| (x)
-    M1 M2`` over inner Kraus products, on outer (x) inner (x) target.
-    """
-    inner1 = switch(e1, e2)
-    inner2 = switch(e3, e4)
-    return _switch_of_channels(inner1, inner2, "sos")
-
-
-def switch_of_coh(
-    e1: VacuumExtendedChannel,
-    e2: VacuumExtendedChannel,
-    e3: VacuumExtendedChannel,
-    e4: VacuumExtendedChannel,
-) -> Channel:
-    """Switch whose two branches are coherent superpositions.
-
-    Both inner superpositions act on the same path (x) target space; the
-    outer control qubit chooses which runs first.
-    """
-    inner1 = coherent_superposition(e1, e2)
-    inner2 = coherent_superposition(e3, e4)
-    return _switch_of_channels(inner1, inner2, "soc")
-
-
-def _switch_of_channels(inner1: Channel, inner2: Channel, tag: str) -> Channel:
-    _require_square_equal((inner1, inner2))
-    ordered, reversed_ = [], []
-    for a in inner1.kraus:
-        for b in inner2.kraus:
-            ordered.append(b @ a)
-            reversed_.append(a @ b)
-    return Channel(
-        _control_branches(ordered, reversed_),
-        (2,) + inner1.input_dims,
-        (2,) + inner1.output_dims,
-        label=f"{tag}[{inner1.label}; {inner2.label}]",
-    )
-
-
-def coh_of_coh(
-    e1: VacuumExtendedChannel,
-    e2: VacuumExtendedChannel,
-    e3: VacuumExtendedChannel,
-    e4: VacuumExtendedChannel,
-    outer_amps_a: Optional[Sequence[complex]] = None,
-    outer_amps_b: Optional[Sequence[complex]] = None,
-) -> Channel:
-    """Coherent superposition of two coherent superpositions.
-
-    The outer superposition treats each inner one as a channel in its own
-    right, so the outer vacuum amplitudes are indexed by the inner
-    composite Kraus indices. They default to the concentrated vector
-    ``(1, 0, ..., 0)``.
-    """
-    inner1 = coherent_superposition(e1, e2)
-    inner2 = coherent_superposition(e3, e4)
-    return _coh_of_channels(inner1, inner2, outer_amps_a, outer_amps_b, "coc")
-
-
-def coh_of_switch(
-    e1: Channel,
-    e2: Channel,
-    e3: Channel,
-    e4: Channel,
-    outer_amps_a: Optional[Sequence[complex]] = None,
-    outer_amps_b: Optional[Sequence[complex]] = None,
-) -> Channel:
-    """Coherent superposition of two switches.
-
-    The outer path splits between the two inner switches; outer vacuum
-    amplitudes are indexed by the inner switch Kraus indices and default
-    to the concentrated vector.
-    """
-    inner1 = switch(e1, e2)
-    inner2 = switch(e3, e4)
-    return _coh_of_channels(inner1, inner2, outer_amps_a, outer_amps_b, "cos")
-
-
-def _coh_of_channels(
-    inner1: Channel,
-    inner2: Channel,
-    outer_amps_a: Optional[Sequence[complex]],
-    outer_amps_b: Optional[Sequence[complex]],
-    tag: str,
-) -> Channel:
-    _require_square_equal((inner1, inner2))
-    alpha = (
-        concentrated_amplitudes(inner1.n_kraus)
-        if outer_amps_a is None
-        else normalized_amplitudes(outer_amps_a, inner1.n_kraus)
-    )
-    beta = (
-        concentrated_amplitudes(inner2.n_kraus)
-        if outer_amps_b is None
-        else normalized_amplitudes(outer_amps_b, inner2.n_kraus)
-    )
-    path0, path1 = [], []
-    for a, m1 in enumerate(inner1.kraus):
-        for b, m2 in enumerate(inner2.kraus):
-            path0.append(m1 * beta[b])
-            path1.append(alpha[a] * m2)
-    return Channel(
-        _control_branches(path0, path1),
-        (2,) + inner1.input_dims,
-        (2,) + inner1.output_dims,
-        label=f"{tag}[{inner1.label}; {inner2.label}]",
     )
 
 

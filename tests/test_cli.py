@@ -130,6 +130,21 @@ class TestSweep:
         )
         assert code == 1
 
+    def test_amps_wrong_length_for_family(self, capsys):
+        code = main(
+            [
+                "sweep", "--config", "cohsup", "--family", "depolarizing",
+                "--amps", "0.6,0.8", "--p-steps", "1",
+            ]
+        )
+        assert code == 1
+        assert "error: expected 4 vacuum amplitudes" in capsys.readouterr().err
+
+    def test_mixed_block_rejected_for_two_channels(self, capsys):
+        code = main(["sweep", "--config", "switch", "--family", "mixed_block"])
+        assert code == 1
+        assert "error: mixed_block needs four channels" in capsys.readouterr().err
+
     def test_amps_must_be_normalized(self):
         code = main(
             [

@@ -51,8 +51,6 @@ class TestOptimizerConfig:
             OptimizerConfig(restarts=0)
         with pytest.raises(ValueError):
             OptimizerConfig(tolerance=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(ensemble_size=5)
 
 
 class TestHolevoInformation:

@@ -15,16 +15,7 @@ from switchcap.channels import (
 )
 from switchcap.configs import Family, build_fixed, build_supermap
 from switchcap.qmatrix import direct_sum, partial_trace, plus_state, projector
-from switchcap.supermaps import (
-    SupermapKind,
-    coh_of_coh,
-    coh_of_switch,
-    coherent_superposition,
-    fix_control,
-    switch,
-    switch_of_coh,
-    switch_of_switch,
-)
+from switchcap.supermaps import SupermapKind, coherent_superposition, fix_control, switch
 
 KET0 = projector(np.array([1, 0], dtype=complex))
 KET1 = projector(np.array([0, 1], dtype=complex))
@@ -113,48 +104,67 @@ class TestCoherentSuperposition:
 
 
 class TestNestedCompositions:
+    """The four nests built from ``switch`` and ``coherent_superposition``."""
+
     def test_sos_identities(self):
-        ident = identity_channel()
-        ch = switch_of_switch(ident, ident, ident, ident)
+        inner = switch(identity_channel(), identity_channel())
+        ch = switch(inner, inner)
         assert_allclose(ch.kraus[0], np.eye(8))
 
     def test_sos_kraus_count(self):
-        chans = [bit_flip(0.2)] * 4
-        assert switch_of_switch(*chans).n_kraus == 16
+        inner = switch(bit_flip(0.2), bit_flip(0.2))
+        assert switch(inner, inner).n_kraus == 16
 
     def test_sos_noiseless_first_operator(self):
-        ch = switch_of_switch(*[bit_flip(0.0)] * 4)
-        assert_allclose(ch.kraus[0], np.eye(8), atol=1e-15)
+        inner = switch(bit_flip(0.0), bit_flip(0.0))
+        assert_allclose(switch(inner, inner).kraus[0], np.eye(8), atol=1e-15)
 
     def test_soc_identities(self):
         e = _extended(identity_channel())
-        ch = switch_of_coh(e, e, e, e)
+        inner = coherent_superposition(e, e)
+        ch = switch(inner, inner)
         nonzero = [k for k in ch.kraus if np.abs(k).max() > 1e-14]
         assert len(nonzero) == 1
         assert_allclose(nonzero[0], np.eye(8))
 
     def test_soc_kraus_count(self):
         e = _extended(bit_flip(0.2))
-        assert switch_of_coh(e, e, e, e).n_kraus == 16
+        inner = coherent_superposition(e, e)
+        assert switch(inner, inner).n_kraus == 16
 
     def test_coc_identities_concentrated(self):
         e = _extended(identity_channel())
-        ch = coh_of_coh(e, e, e, e)
+        inner = _extended(coherent_superposition(e, e))
+        ch = coherent_superposition(inner, inner)
         nonzero = [k for k in ch.kraus if np.abs(k).max() > 1e-14]
         assert len(nonzero) == 1
         assert_allclose(nonzero[0], np.eye(8))
 
     def test_cos_identities_concentrated(self):
-        ident = identity_channel()
-        ch = coh_of_switch(ident, ident, ident, ident)
+        inner = _extended(switch(identity_channel(), identity_channel()))
+        ch = coherent_superposition(inner, inner)
         nonzero = [k for k in ch.kraus if np.abs(k).max() > 1e-14]
         assert len(nonzero) == 1
         assert_allclose(nonzero[0], np.eye(8))
 
     def test_outer_amplitude_normalization_enforced(self):
         e = _extended(bit_flip(0.3))
+        inner = coherent_superposition(e, e)
         with pytest.raises(ValueError, match="norm"):
-            coh_of_coh(e, e, e, e, outer_amps_a=np.full(4, 0.9))
+            vacuum_extend(inner, np.full(4, 0.9))
+
+    def test_hybrid_nest_outside_the_six_configurations(self):
+        # A switch between a path superposition and a switch: no
+        # configuration token names it, but the combinators compose it.
+        c = depolarizing(0.3)
+        e = vacuum_extend(c, (0.5, 0.5, 0.5, 0.5))
+        ch = switch(coherent_superposition(e, e), switch(c, c))
+        assert ch.n_kraus == 256
+        assert completeness_defect(ch) <= 1e-10
+        fixed = fix_control(ch)
+        assert fixed.d_in == 2
+        assert fixed.output_dims == (2, 2, 2)
+        assert completeness_defect(fixed) <= 1e-10
 
 
 class TestCompletenessGrid:
