@@ -28,7 +28,6 @@ from .infotheory import (
     classical_capacity,
     coherent_information,
     complementary_output,
-    computational_holevo,
     exchange_entropy,
     holevo_information,
     quantum_capacity,
@@ -81,7 +80,6 @@ __all__ = [
     "complementary_output",
     "exchange_entropy",
     "coherent_information",
-    "computational_holevo",
     "target_marginal",
     "classical_capacity",
     "quantum_capacity",

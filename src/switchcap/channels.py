@@ -11,7 +11,7 @@ Channels are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -237,20 +237,20 @@ class VacuumExtendedChannel:
 
     base: Channel
     amps: np.ndarray
-    extended: Channel = field(init=False)
 
     def __post_init__(self):
         amps = normalized_amplitudes(self.amps, self.base.n_kraus)
         object.__setattr__(self, "amps", amps)
+
+    @cached_property
+    def extended(self) -> Channel:
+        """The extended Kraus operators as a ``(d_in + 1)``-dimensional channel."""
         ext_kraus = tuple(
             direct_sum(k, np.array([[g]], dtype=complex))
-            for k, g in zip(self.base.kraus, amps)
+            for k, g in zip(self.base.kraus, self.amps)
         )
         dim = self.base.d_in + 1
-        extended = Channel(
-            ext_kraus, (dim,), (dim,), label=f"{self.base.label}+vac"
-        )
-        object.__setattr__(self, "extended", extended)
+        return Channel(ext_kraus, (dim,), (dim,), label=f"{self.base.label}+vac")
 
 
 def vacuum_extend(ch: Channel, amps: Sequence[complex]) -> VacuumExtendedChannel:

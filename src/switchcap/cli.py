@@ -119,7 +119,7 @@ def _add_common(parser, default_tol: float, tol_help: str):
     parser.add_argument("--p-end", type=float, default=1.0)
     parser.add_argument("--p-steps", type=int, default=21)
     parser.add_argument("--out", type=str, default=None, help="output CSV path")
-    parser.add_argument("--restarts", type=int, default=6)
+    parser.add_argument("--restarts", type=int, default=6, help="quantum-capacity restarts")
     parser.add_argument("--tol", type=float, default=default_tol, help=tol_help)
     parser.add_argument("--seed", type=int, default=20240601)
 
@@ -151,7 +151,7 @@ def build_parser() -> _Parser:
         help="comma-separated vacuum amplitudes, one per Kraus operator "
         "of the channel being extended",
     )
-    _add_common(sweep, 1e-6, "optimizer restart-agreement tolerance in bits")
+    _add_common(sweep, 1e-6, "quantum-capacity restart-agreement tolerance in bits")
 
     validate = sub.add_parser(
         "validate", help="compare the optimizer against every closed form"
@@ -174,7 +174,7 @@ def build_parser() -> _Parser:
         help="amplitude set (comma-separated, length 4); repeatable, "
         "defaults to four reference sets",
     )
-    _add_common(vacuum, 1e-6, "optimizer restart-agreement tolerance in bits")
+    _add_common(vacuum, 1e-6, "quantum-capacity restart-agreement tolerance in bits")
     return parser
 
 

@@ -15,9 +15,10 @@ fixed (see :func:`switchcap.supermaps.fix_control`):
   control and path factors is kept; this is what makes the result
   sensitive to the choice of vacuum amplitudes on superposed paths.
 
-Both maximizations run a multistart Nelder-Mead with a canonical start
-(uniform prior, maximally mixed state) plus seeded random restarts, so
-results are deterministic for a fixed seed.
+The classical capacity is one bounded scalar solve of a concave function.
+The quantum capacity runs a multistart Nelder-Mead with a canonical start
+(maximally mixed state) plus seeded random restarts, deterministic for a
+fixed seed, because coherent information is not concave.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from ._optim import maximize_multistart
 from .channels import Channel, apply
@@ -50,13 +52,14 @@ __all__ = [
     "exchange_entropy",
     "coherent_information",
     "target_marginal",
-    "computational_holevo",
     "classical_capacity",
     "quantum_capacity",
 ]
 
 _KET0 = np.diag([1.0, 0.0]).astype(complex)
 _KET1 = np.diag([0.0, 1.0]).astype(complex)
+#: Absolute tolerance on the signaling weight in the classical solve.
+_WEIGHT_XATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +101,13 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the multistart capacity maximization.
+    """Settings for the capacity maximizations.
 
-    ``restarts`` counts total Nelder-Mead runs (the canonical start plus
-    ``restarts - 1`` random ones). ``tolerance`` is the absolute
-    agreement, in bits, required between the two best restarts for the
-    run to be flagged converged.
+    ``max_iterations`` caps each solver run of both capacities; the rest
+    reach only the quantum one. ``restarts`` counts total Nelder-Mead runs
+    (the canonical start plus ``restarts - 1`` seeded random ones).
+    ``tolerance`` is the absolute agreement, in bits, required between
+    the two best restarts for the run to be flagged converged.
     """
 
     restarts: int = 6
@@ -219,35 +223,13 @@ def target_marginal(ch: Channel, rho: np.ndarray) -> np.ndarray:
     return partial_trace(out, ch.output_dims, keep=[len(ch.output_dims) - 1])
 
 
-def computational_holevo(ch: Channel, weight: float = 0.5) -> float:
-    """Holevo information of computational-basis signaling on the target marginal.
-
-    The ensemble is ``{(w, |0>), (1-w, |1>)}`` on the target input; the
-    control and path factors of the output are traced out before the
-    entropies are taken. ``classical_capacity`` maximizes this quantity
-    over the weight ``w``.
-    """
-    if ch.d_in != 2:
-        raise ValueError("computational signaling requires a qubit input space")
-    m0 = target_marginal(ch, _KET0)
-    m1 = target_marginal(ch, _KET1)
-    return _binary_holevo(m0, m1, float(weight))
-
-
-def _binary_holevo(m0: np.ndarray, m1: np.ndarray, w: float) -> float:
-    average = w * m0 + (1.0 - w) * m1
-    chi = von_neumann_entropy(average) - (
-        w * von_neumann_entropy(m0) + (1.0 - w) * von_neumann_entropy(m1)
-    )
-    return float(max(chi, 0.0))
-
-
 def classical_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> CapacityResult:
     """One-shot classical capacity over computational-basis signaling.
 
-    Maximizes :func:`computational_holevo` over the signaling prior via
-    multistart Nelder-Mead on a squared-simplex parametrization of the
-    probabilities. The input space must be a qubit.
+    Maximizes the Holevo information of ``{(w, |0>), (1-w, |1>)}`` on the
+    target marginal over ``w`` by one bounded scalar solve; the quantity is
+    concave in ``w``, so ``converged`` (the solver's success) certifies the
+    maximum. The input space must be a qubit.
     """
     cfg = cfg or OptimizerConfig()
     if ch.d_in != 2:
@@ -257,31 +239,24 @@ def classical_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Ca
     s0 = von_neumann_entropy(m0)
     s1 = von_neumann_entropy(m1)
 
-    def weight_of(x: np.ndarray) -> float:
-        sq = x**2
-        total = sq.sum()
-        if total < 1e-12:
-            return 0.5
-        return float(sq[0] / total)
-
-    def objective(x: np.ndarray) -> float:
-        w = weight_of(x)
+    def negative_holevo(w: float) -> float:
         avg = w * m0 + (1.0 - w) * m1
-        return float(von_neumann_entropy(avg) - (w * s0 + (1.0 - w) * s1))
+        return float(w * s0 + (1.0 - w) * s1 - von_neumann_entropy(avg))
 
-    rng = np.random.default_rng(cfg.seed)
-    starts = [np.array([1.0, 1.0])]
-    for _ in range(cfg.restarts - 1):
-        starts.append(rng.uniform(0.05, 1.0, size=2))
-    res = maximize_multistart(objective, starts, cfg.max_iterations, cfg.tolerance)
-    best_w = weight_of(res.x)
-    value = max(res.value, 0.0)
+    res = minimize_scalar(
+        negative_holevo,
+        bounds=(0.0, 1.0),
+        method="bounded",
+        options={"maxiter": cfg.max_iterations, "xatol": _WEIGHT_XATOL},
+    )
+    # ``0.0 - fun``, not ``-fun``: a zero optimum must stay +0 so CSVs print "0".
+    raw = 0.0 - float(res.fun)
     return CapacityResult(
-        value=value,
-        argmax=Ensemble.computational(best_w),
-        converged=res.converged,
-        evaluations=res.evaluations,
-        raw_value=res.value,
+        value=max(raw, 0.0),
+        argmax=Ensemble.computational(float(res.x)),
+        converged=bool(res.success),
+        evaluations=int(res.nfev),
+        raw_value=raw,
     )
 
 
