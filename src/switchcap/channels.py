@@ -171,16 +171,22 @@ def identity_channel(dim: int = 2) -> Channel:
     return Channel((np.eye(dim, dtype=complex),), (dim,), (dim,), label="identity")
 
 
-def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel: ``sum_i K_i rho K_i^dag``.
-
-    ``rho`` must be a ``d_in x d_in`` matrix; the result is ``d_out x d_out``.
-    """
+def _input_state(ch: Channel, rho) -> np.ndarray:
+    """``rho`` as a complex matrix, rejected unless it is ``d_in x d_in``."""
     rho = as_complex_matrix(rho)
     if rho.shape != (ch.d_in, ch.d_in):
         raise ValueError(
             f"state of shape {rho.shape} does not match channel input dim {ch.d_in}"
         )
+    return rho
+
+
+def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
+    """Apply the channel: ``sum_i K_i rho K_i^dag``.
+
+    ``rho`` must be a ``d_in x d_in`` matrix; the result is ``d_out x d_out``.
+    """
+    rho = _input_state(ch, rho)
     ks = ch.stacked
     return np.einsum("aij,jk,alk->il", ks, rho, ks.conj())
 

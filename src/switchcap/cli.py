@@ -106,12 +106,8 @@ def _write_lines(path: Optional[str], lines: Sequence[str]) -> None:
         fh.write(text)
 
 
-def _optimizer_config(args, tolerance: Optional[float] = None) -> OptimizerConfig:
-    return OptimizerConfig(
-        restarts=args.restarts,
-        tolerance=tolerance if tolerance is not None else args.tol,
-        seed=args.seed,
-    )
+def _optimizer_config(args) -> OptimizerConfig:
+    return OptimizerConfig(restarts=args.restarts, tolerance=args.tol, seed=args.seed)
 
 
 def _add_common(parser, default_tol: float, tol_help: str):
@@ -178,11 +174,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _capacity_result(kind, family, p, capacity_type, cfg, amps=None):
-    fixed = build_fixed(kind, family, p, amps)
-    if capacity_type is CapacityType.CLASSICAL:
-        return classical_capacity(fixed, cfg)
-    return quantum_capacity(fixed, cfg)
+_SOLVERS = {
+    CapacityType.CLASSICAL: classical_capacity,
+    CapacityType.QUANTUM: quantum_capacity,
+}
 
 
 def cmd_sweep(args) -> int:
@@ -204,8 +199,9 @@ def cmd_sweep(args) -> int:
     all_converged = True
     for p in grid:
         print(f"sweep {kind.token}/{family.token} p={p:.4f}", file=sys.stderr)
+        fixed = build_fixed(kind, family, p, amps)
         for cap in capacities:
-            res = _capacity_result(kind, family, p, cap, cfg, amps)
+            res = _SOLVERS[cap](fixed, cfg)
             all_converged &= res.converged
             rows.append(
                 (
@@ -224,7 +220,7 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     grid = _grid(args.p_start, args.p_end, args.p_steps)
     tolerance = args.tol
-    cfg = _optimizer_config(args, tolerance=None)
+    cfg = _optimizer_config(args)
     report_rows = []
     worst_overall = 0.0
     all_within = True
@@ -234,9 +230,8 @@ def cmd_validate(args) -> int:
         worst_p = grid[0]
         for p in grid:
             reference = closed_form(form_id, p)
-            res = _capacity_result(
-                form_id.configuration, form_id.family, p, form_id.capacity_type, cfg
-            )
+            fixed = build_fixed(form_id.configuration, form_id.family, p)
+            res = _SOLVERS[form_id.capacity_type](fixed, cfg)
             dev = abs(res.value - reference)
             if dev > worst_dev:
                 worst_dev, worst_p = dev, p
@@ -284,9 +279,8 @@ def cmd_vacuum_sweep(args) -> int:
     for p in grid:
         print(f"vacuum-sweep p={p:.4f}", file=sys.stderr)
         for index, amps in enumerate(amp_sets):
-            res = _capacity_result(
-                SupermapKind.COHERENT_SUP, family, p, CapacityType.QUANTUM, cfg, amps
-            )
+            fixed = build_fixed(SupermapKind.COHERENT_SUP, family, p, amps)
+            res = quantum_capacity(fixed, cfg)
             all_converged &= res.converged
             label = "|".join(_fmt(a) for a in amps)
             rows.append(

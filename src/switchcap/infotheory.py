@@ -16,9 +16,14 @@ fixed (see :func:`switchcap.supermaps.fix_control`):
   sensitive to the choice of vacuum amplitudes on superposed paths.
 
 The classical capacity is one bounded scalar solve of a concave function.
-The quantum capacity runs a multistart Nelder-Mead with a canonical start
-(maximally mixed state) plus seeded random restarts, deterministic for a
-fixed seed, because coherent information is not concave.
+Coherent information is not concave, so ``quantum_capacity`` runs its own
+multistart Nelder-Mead: a canonical start (maximally mixed state) plus
+seeded random restarts, deterministic for a fixed seed.
+
+Both entropies of the coherent information come from one product
+``V_a = K_a sqrt(rho)``: the output state is ``sum_a V_a V_a^dag`` and the
+environment state has entries ``Tr(V_a V_b^dag)``, so each entropy is the
+spectrum of the smaller Gram matrix of one reshape of ``V``.
 """
 
 from __future__ import annotations
@@ -27,10 +32,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
-from ._optim import maximize_multistart
-from .channels import Channel, apply
+from .channels import Channel, _input_state, apply
 from .qmatrix import (
     IDENTITY_2,
     SIGMA_X,
@@ -165,11 +169,7 @@ def complementary_output(ch: Channel, rho: np.ndarray) -> np.ndarray:
     Entry ``(a, b)`` is ``Tr(K_a rho K_b^dag)``; the result is a valid
     density matrix of dimension equal to the Kraus count.
     """
-    rho = as_complex_matrix(rho)
-    if rho.shape != (ch.d_in, ch.d_in):
-        raise ValueError(
-            f"state of shape {rho.shape} does not match channel input dim {ch.d_in}"
-        )
+    rho = _input_state(ch, rho)
     ks = ch.stacked
     n = ch.n_kraus
     products = (ks @ rho).reshape(n, -1)
@@ -190,29 +190,39 @@ def exchange_entropy(ch: Channel, rho: np.ndarray) -> float:
     ``d_out * d_in``, which is much smaller than the Kraus count for the
     nested compositions.
     """
-    rho = as_complex_matrix(rho)
-    if rho.shape != (ch.d_in, ch.d_in):
-        raise ValueError(
-            f"state of shape {rho.shape} does not match channel input dim {ch.d_in}"
-        )
-    return _exchange_entropy_fast(ch.stacked, rho)
+    rho = _input_state(ch, rho)
+    return _gram_entropy((ch.stacked @ _sqrt_psd(rho)).reshape(ch.n_kraus, -1))
 
 
-def _exchange_entropy_fast(stacked: np.ndarray, rho: np.ndarray) -> float:
-    n = stacked.shape[0]
-    vecs = (stacked @ _sqrt_psd(rho)).reshape(n, -1)
-    if n <= vecs.shape[1]:
-        gram = vecs @ vecs.conj().T
+def _gram_entropy(m: np.ndarray) -> float:
+    """Entropy in bits of ``m m^dag``, read from the smaller Gram matrix of ``m``.
+
+    ``m m^dag`` and ``m^dag m`` share their nonzero spectrum.
+    """
+    if m.shape[0] <= m.shape[1]:
+        gram = m @ m.conj().T
     else:
-        gram = vecs.conj().T @ vecs
+        gram = m.conj().T @ m
     return entropy_of_spectrum(np.linalg.eigvalsh(gram))
+
+
+def _coherent_information(stacked: np.ndarray, rho: np.ndarray) -> float:
+    """``S(E(rho)) - S_e(rho)`` for a Kraus stack, from ``V_a = K_a sqrt(rho)``.
+
+    Laying the ``V_a`` side by side gives a matrix whose Gram is the output
+    state; flattening each ``V_a`` to a row gives one whose Gram is the
+    environment state.
+    """
+    n, d_out, _ = stacked.shape
+    v = stacked @ _sqrt_psd(rho)
+    s_out = _gram_entropy(v.transpose(1, 0, 2).reshape(d_out, -1))
+    return s_out - _gram_entropy(v.reshape(n, -1))
 
 
 def coherent_information(ch: Channel, rho: np.ndarray) -> float:
     """Coherent information ``S(E(rho)) - S_e(rho)``; may be negative."""
-    rho = as_complex_matrix(rho)
     assert_density_matrix(rho)
-    return von_neumann_entropy(apply(ch, rho)) - exchange_entropy(ch, rho)
+    return _coherent_information(ch.stacked, _input_state(ch, rho))
 
 
 def target_marginal(ch: Channel, rho: np.ndarray) -> np.ndarray:
@@ -260,7 +270,11 @@ def classical_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Ca
     )
 
 
-def _bloch_density(r: float, theta: float, phi: float) -> np.ndarray:
+def _bloch_density(x: np.ndarray) -> np.ndarray:
+    """Qubit state at search point ``x``: radius ``sin^2 x[0]``, polar angle
+    ``x[1]``, azimuth ``x[2]``."""
+    r = float(np.sin(x[0]) ** 2)
+    theta, phi = x[1], x[2]
     direction = (
         np.sin(theta) * np.cos(phi) * SIGMA_X
         + np.sin(theta) * np.sin(phi) * SIGMA_Y
@@ -274,40 +288,43 @@ def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Capa
 
     Searches the full Bloch ball of target inputs (radius, polar and
     azimuthal angle; the radius is squashed through sin^2 so the search
-    is unconstrained). The reported value is clamped at zero; the raw
-    optimum survives in ``raw_value``.
+    is unconstrained) with one Nelder-Mead run per restart. The best run
+    wins, the lowest restart index among exact ties. ``converged`` means
+    the two best runs agree within ``cfg.tolerance``; a single run reports
+    the solver's own success. The reported value is clamped at zero; the
+    raw optimum survives in ``raw_value``.
     """
     cfg = cfg or OptimizerConfig()
     if ch.d_in != 2:
         raise ValueError("quantum capacity requires a qubit input space")
     stacked = ch.stacked
 
-    def objective(x: np.ndarray) -> float:
-        r = float(np.sin(x[0]) ** 2)
-        rho = _bloch_density(r, x[1], x[2])
-        out = np.einsum("aij,jk,alk->il", stacked, rho, stacked.conj())
-        s_out = entropy_of_spectrum(np.linalg.eigvalsh(out))
-        return s_out - _exchange_entropy_fast(stacked, rho)
+    def negative_coherent_information(x: np.ndarray) -> float:
+        return -_coherent_information(stacked, _bloch_density(x))
 
     rng = np.random.default_rng(cfg.seed)
-    starts = [np.array([0.0, np.pi / 2, 0.0])]
-    for _ in range(cfg.restarts - 1):
-        starts.append(
-            np.array(
-                [
-                    rng.uniform(0.0, np.pi / 2),
-                    rng.uniform(0.0, np.pi),
-                    rng.uniform(0.0, 2 * np.pi),
-                ]
-            )
+    seeded = rng.uniform(0.0, (np.pi / 2, np.pi, 2 * np.pi), size=(cfg.restarts - 1, 3))
+    runs = [
+        minimize(
+            negative_coherent_information,
+            x0,
+            method="Nelder-Mead",
+            options={"maxiter": cfg.max_iterations, "xatol": 1e-9, "fatol": 1e-12},
         )
-    res = maximize_multistart(objective, starts, cfg.max_iterations, cfg.tolerance)
-    r = float(np.sin(res.x[0]) ** 2)
-    best_rho = _bloch_density(r, res.x[1], res.x[2])
+        for x0 in [np.array([0.0, np.pi / 2, 0.0]), *seeded]
+    ]
+    values = np.array([-res.fun for res in runs])
+    best = int(np.argmax(values))
+    if len(runs) >= 2:
+        second, first = np.sort(values)[-2:]
+        converged = bool(first - second <= cfg.tolerance)
+    else:
+        converged = bool(runs[0].success)
+    raw = float(values[best])
     return CapacityResult(
-        value=max(res.value, 0.0),
-        argmax=best_rho,
-        converged=res.converged,
-        evaluations=res.evaluations,
-        raw_value=res.value,
+        value=max(raw, 0.0),
+        argmax=_bloch_density(runs[best].x),
+        converged=converged,
+        evaluations=sum(int(res.nfev) for res in runs),
+        raw_value=raw,
     )

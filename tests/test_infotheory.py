@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize as scipy_minimize
 
 from _helpers import random_density, random_pure
+from switchcap import infotheory
 from switchcap.channels import (
     Channel,
+    apply,
     bit_flip,
     depolarizing,
     identity_channel,
@@ -45,6 +48,33 @@ def binary_holevo(ch, w):
     return von_neumann_entropy(w * m0 + (1 - w) * m1) - (
         w * von_neumann_entropy(m0) + (1 - w) * von_neumann_entropy(m1)
     )
+
+
+@st.composite
+def channels_and_states(draw):
+    """A random channel with its input state.
+
+    Dimensions may be rectangular; the Kraus count falls on either side of
+    ``d_out * d_in`` (so both Gram sides of the environment entropy are
+    used), and the state is pure when its drawn rank is 1.
+    """
+    d_in = draw(st.integers(1, 3))
+    d_out = draw(st.integers(1, 4))
+    side = d_out * d_in
+    if draw(st.booleans()):
+        n = draw(st.integers(side + 1, 2 * side + 1))
+    else:
+        n = draw(st.integers(-(-d_in // d_out), side))
+    rank = draw(st.integers(1, d_in))
+    entries = st.floats(-1, 1)
+    k = draw(arrays(np.float64, (2, n * d_out, d_in), elements=entries))
+    g = draw(arrays(np.float64, (2, d_in, rank), elements=entries))
+    isometry, _ = np.linalg.qr(k[0] + 1j * k[1])
+    ch = Channel(tuple(isometry.reshape(n, d_out, d_in)), (d_in,), (d_out,))
+    g = g[0] + 1j * g[1]
+    assume(np.linalg.norm(g) > 1e-3)
+    rho = g @ g.conj().T
+    return ch, rho / np.trace(rho)
 
 
 def amplitude_damping(g):
@@ -155,6 +185,15 @@ class TestCoherentInformation:
     def test_can_be_negative(self):
         value = coherent_information(depolarizing(0.9), np.eye(2) / 2)
         assert value < 0.0
+
+    @settings(derandomize=True, deadline=None)
+    @given(case=channels_and_states())
+    def test_random_channel_matches_reference_entropies(self, case):
+        ch, rho = case
+        s_env = von_neumann_entropy(complementary_output(ch, rho))
+        reference = von_neumann_entropy(apply(ch, rho)) - s_env
+        assert exchange_entropy(ch, rho) == pytest.approx(s_env, abs=1e-9)
+        assert coherent_information(ch, rho) == pytest.approx(reference, abs=1e-9)
 
 
 class TestClassicalCapacity:
@@ -280,6 +319,44 @@ class TestOptimizerBehaviour:
         fixed = build_fixed(kind, Family.DEPOLARIZING, 0.0)
         assert classical_capacity(fixed, FAST).value == pytest.approx(1.0, abs=1e-3)
         assert quantum_capacity(fixed, FAST).value == pytest.approx(1.0, abs=1e-3)
+
+    def test_quantum_converged_rule(self, monkeypatch):
+        # One run reports the solver's own success; two or more report
+        # whether the two best runs agree within the tolerance, whatever
+        # the runs' own success.
+        runs = []
+
+        def recording_minimize(*args, **kwargs):
+            runs.append(scipy_minimize(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(infotheory, "minimize", recording_minimize)
+        fixed = build_fixed(SupermapKind.SWITCH, Family.DEPOLARIZING, 0.2)
+        for cfg, converged in [
+            (OptimizerConfig(restarts=1), True),
+            (OptimizerConfig(restarts=1, max_iterations=1), False),
+            (OptimizerConfig(restarts=3), True),
+            (OptimizerConfig(restarts=3, max_iterations=2), False),
+            (OptimizerConfig(restarts=3, max_iterations=2, tolerance=10.0), True),
+        ]:
+            runs.clear()
+            res = quantum_capacity(fixed, cfg)
+            assert len(runs) == cfg.restarts
+            if cfg.restarts == 1:
+                assert res.converged == bool(runs[0].success)
+            else:
+                second, first = sorted(-r.fun for r in runs)[-2:]
+                assert res.converged == (first - second <= cfg.tolerance)
+            assert res.converged == converged
+        assert not any(r.success for r in runs)
+
+    def test_quantum_argmax_reproduces_raw_value(self):
+        fixed = build_fixed(SupermapKind.COH_OF_COH, Family.DEPOLARIZING, 0.3)
+        assert fixed.n_kraus == 256
+        res = quantum_capacity(fixed, FAST)
+        assert coherent_information(fixed, res.argmax) == pytest.approx(
+            res.raw_value, abs=1e-12
+        )
 
     def test_result_reports_evaluations(self):
         res = classical_capacity(identity_channel(), FAST)
