@@ -17,8 +17,8 @@ fixed (see :func:`switchcap.supermaps.fix_control`):
 
 The classical capacity is one bounded scalar solve of a concave function.
 Coherent information is not concave, so ``quantum_capacity`` runs its own
-multistart Nelder-Mead: a canonical start (maximally mixed state) plus
-seeded random restarts, deterministic for a fixed seed.
+multistart Nelder-Mead over the Bloch ball: a canonical start (maximally
+mixed state) plus seeded random restarts, deterministic for a fixed seed.
 
 Both entropies of the coherent information come from one product
 ``V_a = K_a sqrt(rho)``: the output state is ``sum_a V_a V_a^dag`` and the
@@ -187,8 +187,7 @@ def exchange_entropy(ch: Channel, rho: np.ndarray) -> float:
 
     Spectrally equivalent to ``von_neumann_entropy(complementary_output(
     ch, rho))`` but computed from a Gram matrix of size at most
-    ``d_out * d_in``, which is much smaller than the Kraus count for the
-    nested compositions.
+    ``min(n_kraus, d_out * d_in)``.
     """
     rho = _input_state(ch, rho)
     return _gram_entropy((ch.stacked @ _sqrt_psd(rho)).reshape(ch.n_kraus, -1))
@@ -271,28 +270,31 @@ def classical_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Ca
 
 
 def _bloch_density(x: np.ndarray) -> np.ndarray:
-    """Qubit state at search point ``x``: radius ``sin^2 x[0]``, polar angle
-    ``x[1]``, azimuth ``x[2]``."""
-    r = float(np.sin(x[0]) ** 2)
-    theta, phi = x[1], x[2]
-    direction = (
-        np.sin(theta) * np.cos(phi) * SIGMA_X
-        + np.sin(theta) * np.sin(phi) * SIGMA_Y
-        + np.cos(theta) * SIGMA_Z
-    )
-    return 0.5 * (IDENTITY_2 + r * direction)
+    """Qubit state with Bloch vector ``x / max(1, |x|)``.
+
+    The origin must be a regular point of this map. The canonical restart
+    starts there, at the maximally mixed input, and a map with zero slope
+    at the origin (such as the radius ``sin^2 x[0]``) makes it a
+    stationary point of every objective, where Nelder-Mead can stop short
+    of the optimum. Inside the unit ball the map is the identity; outside,
+    ``x`` gives the pure state on the boundary in its direction.
+    """
+    bloch = x / max(1.0, float(np.linalg.norm(x)))
+    return 0.5 * (IDENTITY_2 + bloch[0] * SIGMA_X + bloch[1] * SIGMA_Y + bloch[2] * SIGMA_Z)
 
 
 def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> CapacityResult:
     """One-shot quantum capacity: maximum coherent information.
 
-    Searches the full Bloch ball of target inputs (radius, polar and
-    azimuthal angle; the radius is squashed through sin^2 so the search
-    is unconstrained) with one Nelder-Mead run per restart. The best run
-    wins, the lowest restart index among exact ties. ``converged`` means
-    the two best runs agree within ``cfg.tolerance``; a single run reports
-    the solver's own success. The reported value is clamped at zero; the
-    raw optimum survives in ``raw_value``.
+    Searches the full Bloch ball of target inputs (the search point is the
+    Bloch vector, projected onto the sphere from outside, so the search is
+    unconstrained) with one Nelder-Mead run per restart: one from the
+    maximally mixed input and the rest from seeded points drawn uniformly
+    in the ball. The best run wins, the lowest restart index among exact
+    ties. ``converged`` means the two best runs agree within
+    ``cfg.tolerance``; a single run reports the solver's own success. The
+    reported value is clamped at zero; the raw optimum survives in
+    ``raw_value``.
     """
     cfg = cfg or OptimizerConfig()
     if ch.d_in != 2:
@@ -303,7 +305,9 @@ def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Capa
         return -_coherent_information(stacked, _bloch_density(x))
 
     rng = np.random.default_rng(cfg.seed)
-    seeded = rng.uniform(0.0, (np.pi / 2, np.pi, 2 * np.pi), size=(cfg.restarts - 1, 3))
+    directions = rng.normal(size=(cfg.restarts - 1, 3))
+    radii = rng.uniform(size=(cfg.restarts - 1, 1)) ** (1 / 3)
+    seeded = radii * directions / np.linalg.norm(directions, axis=1, keepdims=True)
     runs = [
         minimize(
             negative_coherent_information,
@@ -311,7 +315,7 @@ def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Capa
             method="Nelder-Mead",
             options={"maxiter": cfg.max_iterations, "xatol": 1e-9, "fatol": 1e-12},
         )
-        for x0 in [np.array([0.0, np.pi / 2, 0.0]), *seeded]
+        for x0 in [np.zeros(3), *seeded]
     ]
     values = np.array([-res.fun for res in runs])
     best = int(np.argmax(values))

@@ -28,7 +28,14 @@ qubit of branch order "first argument first" is ``|0>``.
 
 ``fix_control`` freezes the control factors at a pure state, yielding a
 rectangular-Kraus channel from the bare target space to the full output
-space, which is what the capacity optimizers consume.
+space, which is what the capacity optimizers consume. It returns at most
+``d_in * d_out`` Kraus operators (16 for a nested composition over qubits,
+whatever the composed count). Only this fixed channel is compressed: a
+composition built from vacuum-extended channels depends on their Kraus
+representation, not only on the channels (Chiribella & Kristjansson 2019,
+"Quantum Shannon theory with superpositions of trajectories"), so the
+composed channels keep every operator. The fixed channel is rectangular,
+so it cannot be vacuum extended or composed further.
 """
 
 from __future__ import annotations
@@ -142,6 +149,13 @@ def fix_control(ch: Channel, control: Optional[np.ndarray] = None) -> Channel:
     space, with Kraus operators ``A = M (|c> (x) I_target)``. The control
     defaults to the uniform superposition ``|+...+>`` over the control
     factors; a mixed control is rejected.
+
+    When there are more than ``d_in * d_out`` operators ``A_a``, they are
+    replaced by exactly ``d_in * d_out`` operators with the same Gram
+    matrix ``V^dag V`` of the stacked ``vec(A_a)``, hence the same channel;
+    where its Choi rank is smaller, the extra operators are zero up to
+    rounding. Capacities are unchanged: the complementary channel changes
+    only by an isometry on the environment.
     """
     if len(ch.input_dims) < 2:
         raise ValueError("channel has no control factor to fix")
@@ -154,9 +168,16 @@ def fix_control(ch: Channel, control: Optional[np.ndarray] = None) -> Channel:
         control = plus_state(n_qubits)
     cvec = _pure_control_vector(control, d_control)
     embed = np.kron(cvec.reshape(-1, 1), np.eye(d_target, dtype=complex))
-    kraus = tuple(m @ embed for m in ch.kraus)
+    kraus = ch.stacked @ embed
+    n, d_out, _ = kraus.shape
+    if n > d_out * d_target:
+        # Rows sqrt(lam_i) u_i^dag have Gram sum_i lam_i u_i u_i^dag = V^dag V.
+        v = kraus.reshape(n, -1)
+        eigvals, eigvecs = np.linalg.eigh(v.conj().T @ v)
+        rows = np.sqrt(np.clip(eigvals, 0.0, None))[:, None] * eigvecs.conj().T
+        kraus = rows.reshape(-1, d_out, d_target)
     return Channel(
-        kraus,
+        tuple(kraus),
         (d_target,),
         ch.output_dims,
         label=f"{ch.label} @ fixed control",

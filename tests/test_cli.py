@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from switchcap.cli import main
+from switchcap.cli import CAPACITY_NOISE_BITS, main
+from switchcap.configs import Family, build_fixed
+from switchcap.infotheory import classical_capacity
+from switchcap.supermaps import SupermapKind
 
 SWEEP_HEADER = "p,configuration,family,capacity_type,value,converged,restarts,seed"
 
@@ -72,6 +75,22 @@ class TestSweep:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_rounding_noise_prints_as_zero(self, tmp_path):
+        # The bit-flip switch carries no classical information at p = 1/2;
+        # the solver's optimum is zero up to rounding.
+        fixed = build_fixed(SupermapKind.SWITCH, Family.BIT_FLIP, 0.5)
+        assert 0.0 < classical_capacity(fixed).value < CAPACITY_NOISE_BITS
+        out = tmp_path / "noise.csv"
+        code = main(
+            [
+                "sweep", "--config", "switch", "--family", "bitflip",
+                "--capacity", "classical", "--p-start", "0.5", "--p-end", "0.5",
+                "--p-steps", "1", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert out.read_text().split("\n")[1].split(",")[4] == "0"
 
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "lf.csv"

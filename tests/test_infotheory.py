@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize as scipy_minimize
 
-from _helpers import random_density, random_pure
+from _helpers import random_density, random_pure, uncompressed_fixed
 from switchcap import infotheory
 from switchcap.channels import (
     Channel,
@@ -16,7 +16,7 @@ from switchcap.channels import (
     identity_channel,
     phase_flip,
 )
-from switchcap.configs import Family, build_fixed
+from switchcap.configs import Family, build_fixed, build_supermap
 from switchcap.infotheory import (
     CapacityResult,
     Ensemble,
@@ -30,7 +30,14 @@ from switchcap.infotheory import (
     target_marginal,
 )
 from switchcap.oracle import CapacityType, ClosedFormId, closed_form
-from switchcap.qmatrix import assert_density_matrix, projector, von_neumann_entropy
+from switchcap.qmatrix import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    assert_density_matrix,
+    projector,
+    von_neumann_entropy,
+)
 from switchcap.supermaps import SupermapKind, fix_control, switch
 
 KET0 = projector(np.array([1, 0], dtype=complex))
@@ -351,12 +358,38 @@ class TestOptimizerBehaviour:
         assert not any(r.success for r in runs)
 
     def test_quantum_argmax_reproduces_raw_value(self):
-        fixed = build_fixed(SupermapKind.COH_OF_COH, Family.DEPOLARIZING, 0.3)
-        assert fixed.n_kraus == 256
-        res = quantum_capacity(fixed, FAST)
-        assert coherent_information(fixed, res.argmax) == pytest.approx(
+        # The optimizer sees the compressed fixed channel; its argmax must
+        # reach the same value on the 256-operator uncompressed one.
+        raw = build_supermap(SupermapKind.COH_OF_COH, Family.DEPOLARIZING, 0.3)
+        reference = uncompressed_fixed(raw)
+        assert reference.n_kraus == 256
+        res = quantum_capacity(fix_control(raw), FAST)
+        assert coherent_information(reference, res.argmax) == pytest.approx(
             res.raw_value, abs=1e-12
         )
+
+    def test_restarts_do_not_stall_at_maximally_mixed_input(self):
+        # With these amplitudes (drawn from one benchmark seed) fewer than
+        # two of the six restarts used to reach the optimum, so the run
+        # reported converged=False.
+        amps = (
+            0.1621623459504823 + 0.2704143068404502j,
+            -0.14280486585289207 - 0.21152106976220741j,
+            0.04481940132427893 - 0.4908108226938635j,
+            -0.19019283402229487 + 0.7459006147103633j,
+        )
+        fixed = build_fixed(
+            SupermapKind.COHERENT_SUP, Family.DEPOLARIZING, 0.20091807621373647, amps
+        )
+        res = quantum_capacity(fixed)
+        assert res.converged
+        assert res.value >= coherent_information(fixed, np.eye(2) / 2) - 1e-9
+        paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+        bloch = np.array([np.trace(res.argmax @ s).real for s in paulis])
+        direction = sum(b * s for b, s in zip(bloch / np.linalg.norm(bloch), paulis))
+        for r in np.linspace(0.0, 1.0, 21):
+            rho = 0.5 * (np.eye(2) + r * direction)
+            assert res.value >= coherent_information(fixed, rho) - 1e-9
 
     def test_result_reports_evaluations(self):
         res = classical_capacity(identity_channel(), FAST)

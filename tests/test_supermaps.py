@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from _helpers import random_density
+from _helpers import random_density, uncompressed_fixed
 from switchcap.channels import (
+    Channel,
     apply,
     bit_flip,
     completeness_defect,
@@ -14,6 +18,7 @@ from switchcap.channels import (
     verify_completeness,
 )
 from switchcap.configs import Family, build_fixed, build_supermap
+from switchcap.infotheory import coherent_information, exchange_entropy
 from switchcap.qmatrix import direct_sum, partial_trace, plus_state, projector
 from switchcap.supermaps import SupermapKind, coherent_superposition, fix_control, switch
 
@@ -25,6 +30,33 @@ ALL_KINDS = list(SupermapKind)
 
 def _families_for(kind):
     return [f for f in Family if not (kind.n_channels == 2 and f is Family.MIXED_BLOCK)]
+
+
+@st.composite
+def channel_pairs_and_states(draw):
+    """Two random qubit channels with vacuum amplitudes, and an input state.
+
+    Each channel is an isometric Kraus set of 1-6 operators, so composed
+    pairs fall on both sides of the ``d_in * d_out = 8`` compression
+    threshold; the state is pure when its drawn rank is 1.
+    """
+    entries = st.floats(-1, 1)
+    extended = []
+    for _ in range(2):
+        n = draw(st.integers(1, 6))
+        k = draw(arrays(np.float64, (2, 2 * n, 2), elements=entries))
+        a = draw(arrays(np.float64, (2, n), elements=entries))
+        amps = a[0] + 1j * a[1]
+        assume(np.linalg.norm(amps) > 1e-3)
+        isometry, _ = np.linalg.qr(k[0] + 1j * k[1])
+        ch = Channel(tuple(isometry.reshape(n, 2, 2)), (2,), (2,))
+        extended.append(vacuum_extend(ch, amps / np.linalg.norm(amps)))
+    rank = draw(st.integers(1, 2))
+    g = draw(arrays(np.float64, (2, 2, rank), elements=entries))
+    g = g[0] + 1j * g[1]
+    assume(np.linalg.norm(g) > 1e-3)
+    rho = g @ g.conj().T
+    return extended, rho / np.trace(rho)
 
 
 def _extended(ch, amps=None):
@@ -217,6 +249,23 @@ class TestFixControl:
     def test_plain_channel_rejected(self):
         with pytest.raises(ValueError, match="control"):
             fix_control(bit_flip(0.2))
+
+    @settings(derandomize=True, deadline=None)
+    @given(case=channel_pairs_and_states())
+    def test_compressed_matches_uncompressed(self, case):
+        (e1, e2), rho = case
+        for composed in (switch(e1.base, e2.base), coherent_superposition(e1, e2)):
+            fixed = fix_control(composed)
+            reference = uncompressed_fixed(composed)
+            assert fixed.n_kraus <= fixed.d_in * fixed.d_out
+            assert completeness_defect(fixed) <= 1e-10
+            assert_allclose(apply(fixed, rho), apply(reference, rho), rtol=0, atol=1e-12)
+            assert coherent_information(fixed, rho) == pytest.approx(
+                coherent_information(reference, rho), abs=1e-12
+            )
+            assert exchange_entropy(fixed, rho) == pytest.approx(
+                exchange_entropy(reference, rho), abs=1e-12
+            )
 
 
 class TestNoiselessCollapse:
