@@ -11,6 +11,7 @@ Channels are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -66,6 +67,9 @@ class Channel:
         Tensor-factor dimensions of the output space, same convention.
     label : str
         Human-readable tag used in reports and CSV output.
+
+    Raises ``ValueError`` when ``sum_i K_i^dag K_i`` deviates from the
+    identity by more than ``COMPLETENESS_TOL`` (an empty list included).
     """
 
     kraus: tuple
@@ -90,14 +94,17 @@ class Channel:
                 raise ValueError(
                     f"Kraus operator of shape {m.shape} does not match {shape}"
                 )
+        defect = completeness_defect(self)
+        if defect > COMPLETENESS_TOL:
+            raise ValueError(f"Kraus operators violate completeness by {defect:.3e}")
 
     @property
     def d_in(self) -> int:
-        return int(np.prod(self.input_dims))
+        return math.prod(self.input_dims)
 
     @property
     def d_out(self) -> int:
-        return int(np.prod(self.output_dims))
+        return math.prod(self.output_dims)
 
     @property
     def n_kraus(self) -> int:
@@ -193,15 +200,15 @@ def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
 
 def completeness_defect(ch: Channel) -> float:
     """Max-abs deviation of ``sum_i K_i^dag K_i`` from the identity."""
-    ks = ch.stacked
-    gram = np.einsum("aij,aik->jk", ks.conj(), ks)
-    return float(np.max(np.abs(gram - np.eye(ch.d_in))))
+    rows = ch.stacked.reshape(-1, ch.d_in)
+    return float(np.max(np.abs(rows.conj().T @ rows - np.eye(ch.d_in))))
 
 
 def verify_completeness(ch: Channel, tol: float = COMPLETENESS_TOL) -> bool:
     """True iff the Kraus set resolves the identity within ``tol``.
 
-    An empty Kraus list trivially fails (its sum is the zero matrix).
+    Every constructed channel passes at ``COMPLETENESS_TOL``, so only a
+    tighter ``tol`` can fail.
     """
     return completeness_defect(ch) <= tol
 

@@ -17,13 +17,11 @@ fixed (see :func:`switchcap.supermaps.fix_control`):
 
 The classical capacity is one bounded scalar solve of a concave function.
 Coherent information is not concave, so ``quantum_capacity`` runs its own
-multistart Nelder-Mead over the Bloch ball: a canonical start (maximally
-mixed state) plus seeded random restarts, deterministic for a fixed seed.
-
-Both entropies of the coherent information come from one product
-``V_a = K_a sqrt(rho)``: the output state is ``sum_a V_a V_a^dag`` and the
-environment state has entries ``Tr(V_a V_b^dag)``, so each entropy is the
-spectrum of the smaller Gram matrix of one reshape of ``V``.
+multistart BFGS over the Bloch ball: a canonical start (maximally mixed
+state) plus seeded random restarts, deterministic for a fixed seed. Output
+and environment states are affine in the Bloch vector, so one evaluation
+is two Hermitian eigendecompositions, which give the value and its exact
+gradient.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from .qmatrix import (
     SIGMA_Z,
     as_complex_matrix,
     assert_density_matrix,
-    entropy_of_spectrum,
     partial_trace,
     von_neumann_entropy,
 )
@@ -64,6 +61,12 @@ _KET0 = np.diag([1.0, 0.0]).astype(complex)
 _KET1 = np.diag([0.0, 1.0]).astype(complex)
 #: Absolute tolerance on the signaling weight in the classical solve.
 _WEIGHT_XATOL = 1e-12
+#: Gradient norm at which a quantum-capacity BFGS run stops.
+_GRADIENT_TOL = 1e-8
+#: Eigenvalues at or below this drop out of the entropy and its gradient.
+_SPECTRUM_FLOOR = 1e-15
+#: ``sigma_mu / 2`` for ``mu = 0..3``: a qubit state is ``[0] + r . [1:]``.
+_PAULI_HALVES = np.stack([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]) / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +110,10 @@ class Ensemble:
 class OptimizerConfig:
     """Settings for the capacity maximizations.
 
-    ``max_iterations`` caps each solver run of both capacities; the rest
-    reach only the quantum one. ``restarts`` counts total Nelder-Mead runs
-    (the canonical start plus ``restarts - 1`` seeded random ones).
+    ``max_iterations`` caps each solver run of both capacities (bounded
+    scalar iterations, or BFGS iterations); the rest reach only the quantum
+    one. ``restarts`` counts total BFGS runs (the canonical start plus
+    ``restarts - 1`` seeded random ones).
     ``tolerance`` is the absolute agreement, in bits, required between
     the two best restarts for the run to be flagged converged.
     """
@@ -176,52 +180,15 @@ def complementary_output(ch: Channel, rho: np.ndarray) -> np.ndarray:
     return products @ ks.conj().reshape(n, -1).T
 
 
-def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(rho)
-    root = np.sqrt(np.clip(eigvals, 0.0, None))
-    return (eigvecs * root) @ eigvecs.conj().T
-
-
 def exchange_entropy(ch: Channel, rho: np.ndarray) -> float:
-    """Entropy in bits of the environment output for input ``rho``.
-
-    Spectrally equivalent to ``von_neumann_entropy(complementary_output(
-    ch, rho))`` but computed from a Gram matrix of size at most
-    ``min(n_kraus, d_out * d_in)``.
-    """
-    rho = _input_state(ch, rho)
-    return _gram_entropy((ch.stacked @ _sqrt_psd(rho)).reshape(ch.n_kraus, -1))
-
-
-def _gram_entropy(m: np.ndarray) -> float:
-    """Entropy in bits of ``m m^dag``, read from the smaller Gram matrix of ``m``.
-
-    ``m m^dag`` and ``m^dag m`` share their nonzero spectrum.
-    """
-    if m.shape[0] <= m.shape[1]:
-        gram = m @ m.conj().T
-    else:
-        gram = m.conj().T @ m
-    return entropy_of_spectrum(np.linalg.eigvalsh(gram))
-
-
-def _coherent_information(stacked: np.ndarray, rho: np.ndarray) -> float:
-    """``S(E(rho)) - S_e(rho)`` for a Kraus stack, from ``V_a = K_a sqrt(rho)``.
-
-    Laying the ``V_a`` side by side gives a matrix whose Gram is the output
-    state; flattening each ``V_a`` to a row gives one whose Gram is the
-    environment state.
-    """
-    n, d_out, _ = stacked.shape
-    v = stacked @ _sqrt_psd(rho)
-    s_out = _gram_entropy(v.transpose(1, 0, 2).reshape(d_out, -1))
-    return s_out - _gram_entropy(v.reshape(n, -1))
+    """Entropy in bits of the environment output for input ``rho``."""
+    return von_neumann_entropy(complementary_output(ch, rho))
 
 
 def coherent_information(ch: Channel, rho: np.ndarray) -> float:
     """Coherent information ``S(E(rho)) - S_e(rho)``; may be negative."""
     assert_density_matrix(rho)
-    return _coherent_information(ch.stacked, _input_state(ch, rho))
+    return von_neumann_entropy(apply(ch, rho)) - exchange_entropy(ch, rho)
 
 
 def target_marginal(ch: Channel, rho: np.ndarray) -> np.ndarray:
@@ -269,40 +236,64 @@ def classical_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Ca
     )
 
 
-def _bloch_density(x: np.ndarray) -> np.ndarray:
-    """Qubit state with Bloch vector ``x / max(1, |x|)``.
+def _entropy_and_gradient(maps: np.ndarray, r: np.ndarray) -> tuple:
+    """Entropy in bits of ``maps[0] + r . maps[1:]`` and its gradient in ``r``.
 
-    The origin must be a regular point of this map. The canonical restart
-    starts there, at the maximally mixed input, and a map with zero slope
-    at the origin (such as the radius ``sin^2 x[0]``) makes it a
-    stationary point of every objective, where Nelder-Mead can stop short
-    of the optimum. Inside the unit ball the map is the identity; outside,
-    ``x`` gives the pure state on the boundary in its direction.
+    The slopes ``maps[1:]`` are traceless, so ``dS/dr_i = -Tr(maps[i+1] log2 rho)``.
+    Eigenvalues at or below ``_SPECTRUM_FLOOR`` add nothing to either.
     """
-    bloch = x / max(1.0, float(np.linalg.norm(x)))
-    return 0.5 * (IDENTITY_2 + bloch[0] * SIGMA_X + bloch[1] * SIGMA_Y + bloch[2] * SIGMA_Z)
+    eigvals, eigvecs = np.linalg.eigh(maps[0] + np.tensordot(r, maps[1:], axes=1))
+    keep = eigvals > _SPECTRUM_FLOOR
+    weights, vecs = eigvals[keep], eigvecs[:, keep]
+    logs = np.log2(weights)
+    slopes = np.einsum("ik,nik->nk", vecs.conj(), maps[1:] @ vecs).real
+    return -float(weights @ logs), -(slopes @ logs)
+
+
+def _objective(ch: Channel):
+    """``x -> (-I_c, -grad I_c)`` at the Bloch vector ``r = x / max(1, |x|)``.
+
+    The input ``(I + r . sigma) / 2`` has output ``out[0] + r . out[1:]`` and
+    environment state ``env[0] + r . env[1:]``, from the images of
+    ``sigma_mu / 2`` built once here. Outside the unit ball the gradient
+    is chained through the projection onto the sphere.
+    """
+    out = np.stack([apply(ch, half) for half in _PAULI_HALVES])
+    env = np.stack([complementary_output(ch, half) for half in _PAULI_HALVES])
+
+    def negative_coherent_information(x: np.ndarray) -> tuple:
+        norm = float(np.linalg.norm(x))
+        r = x / max(1.0, norm)
+        s_out, g_out = _entropy_and_gradient(out, r)
+        s_env, g_env = _entropy_and_gradient(env, r)
+        value, grad = s_env - s_out, g_env - g_out
+        if norm > 1.0:
+            grad = (grad - r * (r @ grad)) / norm
+        return value, grad
+
+    return negative_coherent_information
 
 
 def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> CapacityResult:
     """One-shot quantum capacity: maximum coherent information.
 
-    Searches the full Bloch ball of target inputs (the search point is the
-    Bloch vector, projected onto the sphere from outside, so the search is
-    unconstrained) with one Nelder-Mead run per restart: one from the
-    maximally mixed input and the rest from seeded points drawn uniformly
-    in the ball. The best run wins, the lowest restart index among exact
-    ties. ``converged`` means the two best runs agree within
-    ``cfg.tolerance``; a single run reports the solver's own success. The
-    reported value is clamped at zero; the raw optimum survives in
-    ``raw_value``.
+    Runs BFGS on the exact gradient over the full Bloch ball of target
+    inputs, once from the maximally mixed input and once from each of
+    ``cfg.restarts - 1`` seeded points drawn uniformly in the ball. The
+    search point is the Bloch vector, projected onto the sphere from
+    outside, so the search is unconstrained. The best run wins, the lowest
+    restart index among exact ties. One evaluation gives value and gradient.
+
+    ``converged`` means the two best runs agree within ``cfg.tolerance``.
+    A single run reports the solver's success, but a run that ends at its
+    start after no iteration is no success: the gradient vanishes at the
+    maximally mixed input of every Pauli-covariant channel, maximum or not.
+    The value is clamped at zero; the raw optimum survives in ``raw_value``.
     """
     cfg = cfg or OptimizerConfig()
     if ch.d_in != 2:
         raise ValueError("quantum capacity requires a qubit input space")
-    stacked = ch.stacked
-
-    def negative_coherent_information(x: np.ndarray) -> float:
-        return -_coherent_information(stacked, _bloch_density(x))
+    objective = _objective(ch)
 
     rng = np.random.default_rng(cfg.seed)
     directions = rng.normal(size=(cfg.restarts - 1, 3))
@@ -310,10 +301,11 @@ def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Capa
     seeded = radii * directions / np.linalg.norm(directions, axis=1, keepdims=True)
     runs = [
         minimize(
-            negative_coherent_information,
+            objective,
             x0,
-            method="Nelder-Mead",
-            options={"maxiter": cfg.max_iterations, "xatol": 1e-9, "fatol": 1e-12},
+            jac=True,
+            method="BFGS",
+            options={"maxiter": cfg.max_iterations, "gtol": _GRADIENT_TOL},
         )
         for x0 in [np.zeros(3), *seeded]
     ]
@@ -323,11 +315,12 @@ def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Capa
         second, first = np.sort(values)[-2:]
         converged = bool(first - second <= cfg.tolerance)
     else:
-        converged = bool(runs[0].success)
+        converged = bool(runs[0].success and runs[0].nit > 0)
     raw = float(values[best])
+    bloch = runs[best].x / max(1.0, float(np.linalg.norm(runs[best].x)))
     return CapacityResult(
         value=max(raw, 0.0),
-        argmax=_bloch_density(runs[best].x),
+        argmax=_PAULI_HALVES[0] + np.tensordot(bloch, _PAULI_HALVES[1:], axes=1),
         converged=converged,
         evaluations=sum(int(res.nfev) for res in runs),
         raw_value=raw,

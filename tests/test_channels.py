@@ -176,14 +176,12 @@ class TestVerifyCompleteness:
 
     def test_scaled_kraus_fails(self):
         ch = bit_flip(0.3)
-        broken = Channel(
-            (1.01 * ch.kraus[0], ch.kraus[1]), (2,), (2,), label="broken"
-        )
-        assert not verify_completeness(broken, 1e-10)
+        with pytest.raises(ValueError, match="completeness"):
+            Channel((1.01 * ch.kraus[0], ch.kraus[1]), (2,), (2,), label="broken")
 
     def test_empty_kraus_list_fails(self):
-        empty = Channel((), (2,), (2,), label="empty")
-        assert not verify_completeness(empty, 1e-10)
+        with pytest.raises(ValueError, match="completeness"):
+            Channel((), (2,), (2,), label="empty")
 
 
 class TestVacuumExtend:

@@ -6,7 +6,12 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize as scipy_minimize
 
-from _helpers import random_density, random_pure, uncompressed_fixed
+from _helpers import (
+    channel_pairs_and_states,
+    random_density,
+    random_pure,
+    uncompressed_fixed,
+)
 from switchcap import infotheory
 from switchcap.channels import (
     Channel,
@@ -38,7 +43,7 @@ from switchcap.qmatrix import (
     projector,
     von_neumann_entropy,
 )
-from switchcap.supermaps import SupermapKind, fix_control, switch
+from switchcap.supermaps import SupermapKind, coherent_superposition, fix_control, switch
 
 KET0 = projector(np.array([1, 0], dtype=complex))
 KET1 = projector(np.array([0, 1], dtype=complex))
@@ -82,6 +87,23 @@ def channels_and_states(draw):
     assume(np.linalg.norm(g) > 1e-3)
     rho = g @ g.conj().T
     return ch, rho / np.trace(rho)
+
+
+def drawn_amplitude_channel():
+    """``cohsup``/depolarizing with complex amplitudes drawn by one benchmark seed.
+
+    It is not Pauli-covariant, so the gradient does not vanish at the
+    maximally mixed input, and its capacity is positive.
+    """
+    amps = (
+        0.1621623459504823 + 0.2704143068404502j,
+        -0.14280486585289207 - 0.21152106976220741j,
+        0.04481940132427893 - 0.4908108226938635j,
+        -0.19019283402229487 + 0.7459006147103633j,
+    )
+    return build_fixed(
+        SupermapKind.COHERENT_SUP, Family.DEPOLARIZING, 0.20091807621373647, amps
+    )
 
 
 def amplitude_damping(g):
@@ -338,7 +360,9 @@ class TestOptimizerBehaviour:
             return runs[-1]
 
         monkeypatch.setattr(infotheory, "minimize", recording_minimize)
-        fixed = build_fixed(SupermapKind.SWITCH, Family.DEPOLARIZING, 0.2)
+        # The origin is not stationary here, so a single run is judged by
+        # the solver alone (see test_stationary_start_is_not_a_converged_run).
+        fixed = drawn_amplitude_channel()
         for cfg, converged in [
             (OptimizerConfig(restarts=1), True),
             (OptimizerConfig(restarts=1, max_iterations=1), False),
@@ -369,18 +393,9 @@ class TestOptimizerBehaviour:
         )
 
     def test_restarts_do_not_stall_at_maximally_mixed_input(self):
-        # With these amplitudes (drawn from one benchmark seed) fewer than
-        # two of the six restarts used to reach the optimum, so the run
-        # reported converged=False.
-        amps = (
-            0.1621623459504823 + 0.2704143068404502j,
-            -0.14280486585289207 - 0.21152106976220741j,
-            0.04481940132427893 - 0.4908108226938635j,
-            -0.19019283402229487 + 0.7459006147103633j,
-        )
-        fixed = build_fixed(
-            SupermapKind.COHERENT_SUP, Family.DEPOLARIZING, 0.20091807621373647, amps
-        )
+        # With these amplitudes fewer than two of the six restarts used to
+        # reach the optimum, so the run reported converged=False.
+        fixed = drawn_amplitude_channel()
         res = quantum_capacity(fixed)
         assert res.converged
         assert res.value >= coherent_information(fixed, np.eye(2) / 2) - 1e-9
@@ -391,10 +406,74 @@ class TestOptimizerBehaviour:
             rho = 0.5 * (np.eye(2) + r * direction)
             assert res.value >= coherent_information(fixed, rho) - 1e-9
 
+    def test_stationary_start_is_not_a_converged_run(self):
+        # The gradient vanishes at the maximally mixed input of every
+        # Pauli-covariant channel; here that input is not the maximum,
+        # which is 0 on the pure boundary.
+        fixed = build_fixed(SupermapKind.SWITCH, Family.DEPOLARIZING, 0.2)
+        assert not quantum_capacity(fixed, OptimizerConfig(restarts=1)).converged
+        res = quantum_capacity(fixed)
+        assert res.raw_value >= -1e-12
+        assert res.converged
+
+    @pytest.mark.parametrize("p", [0.05, 0.5])
+    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k.n_channels == 4])
+    def test_nested_evaluation_budget(self, kind, p):
+        # Deterministic for the default seed, so this pins the solver's cost.
+        fixed = build_fixed(kind, Family.DEPOLARIZING, p)
+        assert quantum_capacity(fixed).evaluations <= 200
+
     def test_result_reports_evaluations(self):
         res = classical_capacity(identity_channel(), FAST)
         assert isinstance(res, CapacityResult)
         assert res.evaluations > 0
+
+
+class TestBlochObjective:
+    @settings(derandomize=True, deadline=None)
+    @given(
+        case=channel_pairs_and_states(),
+        point=arrays(np.float64, 3, elements=st.floats(-1, 1)),
+        mixing=arrays(np.float64, (2, 8, 8), elements=st.floats(-1, 1)),
+    )
+    def test_random_composed_channels(self, case, point, mixing):
+        (e1, e2), _ = case
+        r = 0.9 * point / max(1.0, np.linalg.norm(point))
+        rho = 0.5 * (np.eye(2) + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
+        for composed in (switch(e1.base, e2.base), coherent_superposition(e1, e2)):
+            fixed = fix_control(composed)
+            objective = infotheory._objective(fixed)
+            value, grad = objective(r)
+            assert -value == pytest.approx(coherent_information(fixed, rho), abs=1e-12)
+            h = 1e-6
+            central = [
+                (objective(r + h * e)[0] - objective(r - h * e)[0]) / (2 * h)
+                for e in np.eye(3)
+            ]
+            assert_allclose(grad, central, rtol=0, atol=1e-6)
+
+            # I_c(rho) <= S(rho) <= 1; a noiseless channel reads 1 up to rounding.
+            res = quantum_capacity(fixed)
+            assert res.value <= 1.0 + 1e-12
+            n = fixed.n_kraus
+            unitary, _ = np.linalg.qr(mixing[0, :n, :n] + 1j * mixing[1, :n, :n])
+            mixed = Channel(
+                tuple(np.tensordot(unitary, fixed.stacked, axes=1)),
+                fixed.input_dims,
+                fixed.output_dims,
+            )
+            assert quantum_capacity(mixed).value == pytest.approx(res.value, abs=1e-9)
+
+    @pytest.mark.parametrize("radius", [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "make", [identity_channel, lambda: bit_flip(0.0)], ids=["identity", "bitflip0"]
+    )
+    def test_rank_deficient_states_stay_finite(self, make, radius):
+        objective = infotheory._objective(make())
+        for direction in (*np.eye(3), np.array([1.0, -2.0, 2.0]) / 3):
+            value, grad = objective(radius * direction)
+            assert np.isfinite(value)
+            assert np.all(np.isfinite(grad))
 
 
 class TestTargetMarginal:

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from _helpers import random_density, uncompressed_fixed
+from _helpers import channel_pairs_and_states, random_density, uncompressed_fixed
 from switchcap.channels import (
-    Channel,
     apply,
     bit_flip,
     completeness_defect,
@@ -30,33 +27,6 @@ ALL_KINDS = list(SupermapKind)
 
 def _families_for(kind):
     return [f for f in Family if not (kind.n_channels == 2 and f is Family.MIXED_BLOCK)]
-
-
-@st.composite
-def channel_pairs_and_states(draw):
-    """Two random qubit channels with vacuum amplitudes, and an input state.
-
-    Each channel is an isometric Kraus set of 1-6 operators, so composed
-    pairs fall on both sides of the ``d_in * d_out = 8`` compression
-    threshold; the state is pure when its drawn rank is 1.
-    """
-    entries = st.floats(-1, 1)
-    extended = []
-    for _ in range(2):
-        n = draw(st.integers(1, 6))
-        k = draw(arrays(np.float64, (2, 2 * n, 2), elements=entries))
-        a = draw(arrays(np.float64, (2, n), elements=entries))
-        amps = a[0] + 1j * a[1]
-        assume(np.linalg.norm(amps) > 1e-3)
-        isometry, _ = np.linalg.qr(k[0] + 1j * k[1])
-        ch = Channel(tuple(isometry.reshape(n, 2, 2)), (2,), (2,))
-        extended.append(vacuum_extend(ch, amps / np.linalg.norm(amps)))
-    rank = draw(st.integers(1, 2))
-    g = draw(arrays(np.float64, (2, 2, rank), elements=entries))
-    g = g[0] + 1j * g[1]
-    assume(np.linalg.norm(g) > 1e-3)
-    rho = g @ g.conj().T
-    return extended, rho / np.trace(rho)
 
 
 def _extended(ch, amps=None):
