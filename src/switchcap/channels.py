@@ -12,7 +12,7 @@ Channels are immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -57,8 +57,10 @@ class Channel:
 
     Parameters
     ----------
-    kraus : tuple of ndarray
-        Kraus operators, each of shape ``(d_out, d_in)``.
+    kraus : sequence of ndarray
+        Kraus operators, each of shape ``(d_out, d_in)``, or one
+        ``(n, d_out, d_in)`` array. They are copied once into the read-only
+        array ``stacked``, and ``kraus`` becomes the tuple of its ``n`` views.
     input_dims : tuple of int
         Tensor-factor dimensions of the input space. For composed
         channels the convention is control-major: control/path factors
@@ -68,7 +70,8 @@ class Channel:
     label : str
         Human-readable tag used in reports and CSV output.
 
-    Raises ``ValueError`` when ``sum_i K_i^dag K_i`` deviates from the
+    Raises ``ValueError`` when an operator has the wrong shape or a
+    non-finite entry, or when ``sum_i K_i^dag K_i`` deviates from the
     identity by more than ``COMPLETENESS_TOL`` (an empty list included).
     """
 
@@ -76,24 +79,23 @@ class Channel:
     input_dims: tuple
     output_dims: tuple
     label: str = ""
+    stacked: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = []
-        for k in self.kraus:
-            m = as_complex_matrix(k).copy()
-            m.setflags(write=False)
-            ops.append(m)
-        object.__setattr__(self, "kraus", tuple(ops))
         object.__setattr__(self, "input_dims", tuple(int(d) for d in self.input_dims))
         object.__setattr__(self, "output_dims", tuple(int(d) for d in self.output_dims))
         if any(d < 1 for d in self.input_dims + self.output_dims):
             raise ValueError("subsystem dimensions must be positive")
         shape = (self.d_out, self.d_in)
-        for m in self.kraus:
-            if m.shape != shape:
-                raise ValueError(
-                    f"Kraus operator of shape {m.shape} does not match {shape}"
-                )
+        wrong = {np.shape(k) for k in self.kraus} - {shape}
+        if wrong:
+            raise ValueError(f"Kraus operator of shape {wrong.pop()} does not match {shape}")
+        stacked = np.array(self.kraus, dtype=complex, order="C").reshape(-1, *shape)
+        if not np.isfinite(stacked).all():
+            raise ValueError("matrix contains NaN or Inf entries")
+        stacked.setflags(write=False)
+        object.__setattr__(self, "stacked", stacked)
+        object.__setattr__(self, "kraus", tuple(stacked))
         defect = completeness_defect(self)
         if defect > COMPLETENESS_TOL:
             raise ValueError(f"Kraus operators violate completeness by {defect:.3e}")
@@ -109,17 +111,6 @@ class Channel:
     @property
     def n_kraus(self) -> int:
         return len(self.kraus)
-
-    @cached_property
-    def stacked(self) -> np.ndarray:
-        """All Kraus operators as one read-only ``(n, d_out, d_in)`` array."""
-        arr = (
-            np.stack(self.kraus)
-            if self.kraus
-            else np.zeros((0, self.d_out, self.d_in), dtype=complex)
-        )
-        arr.setflags(write=False)
-        return arr
 
     def __repr__(self):
         return (

@@ -22,20 +22,17 @@ from .channels import (
     phase_flip,
     vacuum_extend,
 )
-from .supermaps import SupermapKind, coherent_superposition, fix_control, switch
+from .supermaps import _TREES, SupermapKind, coherent_superposition, fix_control, switch
 
 __all__ = ["Family", "family_channels", "build_supermap", "build_fixed"]
 
 
 class Family(Enum):
-    """Which noise model each constituent channel uses.
+    """Which noise model each constituent channel uses (see ``_LEAF_MODELS``).
 
-    The two mixed families only differ for four-channel (nested)
-    configurations: ``MIXED_ALTERNATING`` interleaves bit- and phase-flip
-    channels (bit, phase, bit, phase) while ``MIXED_BLOCK`` groups them
-    (bit, bit, phase, phase). For two-channel configurations the
-    alternating family degenerates to one bit-flip plus one phase-flip
-    channel and the block family is not defined.
+    ``MIXED_ALTERNATING`` interleaves bit- and phase-flip channels (bit,
+    phase, bit, phase); ``MIXED_BLOCK`` groups them (bit, bit, phase, phase),
+    so it is defined for four-channel (nested) configurations only.
     """
 
     BIT_FLIP = "bitflip"
@@ -49,43 +46,60 @@ class Family(Enum):
         return self.value
 
 
+#: The noise models of each family's constituent channels, repeated in
+#: order over a configuration's leaves (whose count they must divide).
+_LEAF_MODELS = {
+    Family.BIT_FLIP: (bit_flip,),
+    Family.PHASE_FLIP: (phase_flip,),
+    Family.MIXED_ALTERNATING: (bit_flip, phase_flip),
+    Family.MIXED_BLOCK: (bit_flip, bit_flip, phase_flip, phase_flip),
+    Family.DEPOLARIZING: (depolarizing,),
+}
+
+
+def _leaf_models(family: Family, count: int) -> tuple:
+    """The noise model of each of ``count`` constituent channels of ``family``."""
+    models = _LEAF_MODELS[family]
+    if count < 1 or count % len(models):
+        raise ValueError(
+            f"{family.token} needs a multiple of {len(models)} channels, got {count}"
+        )
+    return models * (count // len(models))
+
+
 def family_channels(family: Family, p: float, count: int) -> tuple:
-    """The ``count`` constituent channels (count is 2 or 4) at noise ``p``."""
-    if count not in (2, 4):
-        raise ValueError(f"count must be 2 or 4, got {count}")
-    if family is Family.BIT_FLIP:
-        return tuple(bit_flip(p) for _ in range(count))
-    if family is Family.PHASE_FLIP:
-        return tuple(phase_flip(p) for _ in range(count))
-    if family is Family.DEPOLARIZING:
-        return tuple(depolarizing(p) for _ in range(count))
-    if family is Family.MIXED_ALTERNATING:
-        if count == 2:
-            return (bit_flip(p), phase_flip(p))
-        return (bit_flip(p), phase_flip(p), bit_flip(p), phase_flip(p))
-    if family is Family.MIXED_BLOCK:
-        if count == 2:
-            raise ValueError(
-                "mixed_block needs four channels; use a nested configuration"
-            )
-        return (bit_flip(p), bit_flip(p), phase_flip(p), phase_flip(p))
-    raise ValueError(f"unknown family {family}")
+    """The ``count`` constituent channels of ``family`` at noise ``p``."""
+    return tuple(model(p) for model in _leaf_models(family, count))
 
 
-def _superpose(pair: Sequence[Channel], amps) -> Channel:
-    """Superpose ``pair``, each vacuum-extended with ``amps`` (default concentrated)."""
+def _slot(node) -> str:
+    """``outer_amps`` for a superposition of two superpositions, else ``amps``."""
+    nested = all(not isinstance(child, int) and child[0] == "coh" for child in node[1:])
+    return "outer_amps" if nested else "amps"
+
+
+def _slots(node) -> set:
+    """The amplitude arguments read by the superpositions of a tree."""
+    if isinstance(node, int):
+        return set()
+    own = {_slot(node)} if node[0] == "coh" else set()
+    return own | _slots(node[1]) | _slots(node[2])
+
+
+def _compose(node, chans: Sequence[Channel], vacuum: dict) -> Channel:
+    """Fold a composition tree with ``switch`` and ``coherent_superposition``."""
+    if isinstance(node, int):
+        return chans[node]
+    pair = [_compose(child, chans, vacuum) for child in node[1:]]
+    if node[0] == "switch":
+        return switch(*pair)
+    amps = vacuum[_slot(node)]
     return coherent_superposition(
         *(
             vacuum_extend(ch, concentrated_amplitudes(ch.n_kraus) if amps is None else amps)
             for ch in pair
         )
     )
-
-
-_NO_AMPS = {
-    SupermapKind.SWITCH: "switch",
-    SupermapKind.SWITCH_OF_SWITCH: "switch of switch",
-}
 
 
 def build_supermap(
@@ -97,34 +111,23 @@ def build_supermap(
 ) -> Channel:
     """Compose the configuration ``kind`` over channels of ``family`` at ``p``.
 
-    Nested kinds apply an inner layer (two switches or two superpositions
-    of the family's channels) and then an outer ``switch`` or
-    ``coherent_superposition`` over the inner pair.
-
-    ``amps`` supplies vacuum amplitudes where the construction extends
-    channels onto the vacuum sector (all coherent-superposition branches;
-    for ``COH_OF_SWITCH`` it is the outer amplitude vector over the inner
-    switch Kraus indices). ``outer_amps`` sets the outer vector of
-    ``COH_OF_COH``, indexed by the inner composite Kraus indices. ``None``
-    selects the concentrated default ``(1, 0, ..., 0)`` everywhere.
+    The composition tree of ``kind`` is folded with ``switch`` and
+    ``coherent_superposition``. Each superposition vacuum-extends its two
+    channels with ``outer_amps`` if both are superpositions (the outer
+    level of ``COH_OF_COH``, indexed by the inner composite Kraus indices),
+    and with ``amps`` otherwise (so for ``COH_OF_SWITCH`` it is the outer
+    vector over the inner switch Kraus indices). ``None`` selects the
+    concentrated default ``(1, 0, ..., 0)``. A vector no superposition of
+    ``kind`` reads is rejected.
     """
+    tree = _TREES[kind]
     chans = family_channels(family, p, kind.n_channels)
-    if outer_amps is not None and kind is not SupermapKind.COH_OF_COH:
+    slots = _slots(tree)
+    if outer_amps is not None and "outer_amps" not in slots:
         raise ValueError(f"outer_amps only applies to coc, not {kind.token}")
-    if amps is not None and kind in _NO_AMPS:
-        raise ValueError(f"{_NO_AMPS[kind]} does not take vacuum amplitudes")
-    if kind is SupermapKind.SWITCH:
-        return switch(*chans)
-    if kind is SupermapKind.COHERENT_SUP:
-        return _superpose(chans, amps)
-    pairs = (chans[:2], chans[2:])
-    if kind in (SupermapKind.SWITCH_OF_SWITCH, SupermapKind.COH_OF_SWITCH):
-        inner = tuple(switch(*pair) for pair in pairs)
-    else:
-        inner = tuple(_superpose(pair, amps) for pair in pairs)
-    if kind in (SupermapKind.SWITCH_OF_SWITCH, SupermapKind.SWITCH_OF_COH):
-        return switch(*inner)
-    return _superpose(inner, amps if kind is SupermapKind.COH_OF_SWITCH else outer_amps)
+    if amps is not None and "amps" not in slots:
+        raise ValueError(f"{kind.token} does not take vacuum amplitudes")
+    return _compose(tree, chans, {"amps": amps, "outer_amps": outer_amps})
 
 
 def build_fixed(

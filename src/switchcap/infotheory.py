@@ -26,6 +26,7 @@ gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -136,8 +137,8 @@ class OptimizerConfig:
 class CapacityResult:
     """Outcome of a capacity maximization.
 
-    ``value`` is the reported capacity in bits (clamped at zero for the
-    quantum capacity, whose raw optimum is kept in ``raw_value``).
+    ``value`` is the reported capacity in bits (clamped to ``[0, log2 d_in]``
+    for the quantum capacity, whose raw optimum is kept in ``raw_value``).
     ``argmax`` is the maximizing :class:`Ensemble` (classical) or input
     density matrix (quantum).
     """
@@ -288,7 +289,9 @@ def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Capa
     A single run reports the solver's success, but a run that ends at its
     start after no iteration is no success: the gradient vanishes at the
     maximally mixed input of every Pauli-covariant channel, maximum or not.
-    The value is clamped at zero; the raw optimum survives in ``raw_value``.
+    The value is clamped to ``[0, log2 d_in]``, the range of the quantum
+    capacity (rounding can put a noiseless optimum a few ulp above 1 bit);
+    the raw optimum survives in ``raw_value``.
     """
     cfg = cfg or OptimizerConfig()
     if ch.d_in != 2:
@@ -319,7 +322,7 @@ def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Capa
     raw = float(values[best])
     bloch = runs[best].x / max(1.0, float(np.linalg.norm(runs[best].x)))
     return CapacityResult(
-        value=max(raw, 0.0),
+        value=min(max(raw, 0.0), math.log2(ch.d_in)),
         argmax=_PAULI_HALVES[0] + np.tensordot(bloch, _PAULI_HALVES[1:], axes=1),
         converged=converged,
         evaluations=sum(int(res.nfev) for res in runs),

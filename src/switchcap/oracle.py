@@ -28,10 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .configs import Family
-from .supermaps import SupermapKind
+from .channels import bit_flip, depolarizing, phase_flip
+from .configs import Family, _leaf_models
+from .supermaps import _TREES, SupermapKind
 
 __all__ = [
     "CapacityType",
@@ -305,63 +306,40 @@ def closed_form(form_id: ClosedFormId, p: float) -> float:
 
 # --- independent flip-probability model -------------------------------------
 
-# Bloch multipliers (eta_x, eta_y, eta_z) of each catalog channel. Sequential
-# composition multiplies them componentwise; an equal mixture averages them.
+#: Bloch z-multiplier of each catalog noise model at ``p``, derived by hand.
+_Z_MULTIPLIERS = {
+    bit_flip: lambda p: 1.0 - 2 * p,
+    phase_flip: lambda p: 1.0,
+    depolarizing: lambda p: 1.0 - 4 * p / 3,
+}
 
 
-def _bloch_multipliers(family: Family, p: float) -> List[Tuple[float, float, float]]:
-    bit = (1.0, 1.0 - 2 * p, 1.0 - 2 * p)
-    phase = (1.0 - 2 * p, 1.0 - 2 * p, 1.0)
-    eta = 1.0 - 4 * p / 3
-    dep = (eta, eta, eta)
-    if family is Family.BIT_FLIP:
-        return [bit] * 4
-    if family is Family.PHASE_FLIP:
-        return [phase] * 4
-    if family is Family.DEPOLARIZING:
-        return [dep] * 4
-    if family is Family.MIXED_ALTERNATING:
-        return [bit, phase, bit, phase]
-    if family is Family.MIXED_BLOCK:
-        return [bit, bit, phase, phase]
-    raise ValueError(f"unknown family {family}")
+def _branches(node, etas: Sequence[float]) -> List[float]:
+    """Z-multipliers of a composition tree, one per control branch.
 
-
-def _prod(vs):
-    out = (1.0, 1.0, 1.0)
-    for v in vs:
-        out = tuple(a * b for a, b in zip(out, v))
-    return out
-
-
-def _avg(vs):
-    n = len(vs)
-    return tuple(sum(v[i] for v in vs) / n for i in range(3))
+    A leaf is one branch; a superposition lists its children's branches;
+    a switch multiplies them branch by branch and lists each product
+    twice, once per order.
+    """
+    if isinstance(node, int):
+        return [etas[node]]
+    rule, first, second = node
+    left, right = _branches(first, etas), _branches(second, etas)
+    if rule == "coh":
+        return left + right
+    return [a * b for a, b in zip(left, right, strict=True) for _ in range(2)]
 
 
 def effective_flip_probability(kind: SupermapKind, family: Family, p: float) -> float:
     """Flip probability of computational signaling through the target marginal.
 
     Tracing the controls reduces each configuration to an algebra on the
-    Bloch multipliers of its constituents: a switch multiplies the two
-    branch multipliers (both orders average to the same product for these
-    commuting channels), a coherent superposition averages them, and the
-    nested constructions compose those two rules. The flip probability is
-    ``(1 - eta_z) / 2`` of the resulting multiplier.
+    Bloch z-multipliers of its constituents, folded over its composition
+    tree: a switch multiplies the multipliers of its two branches (both
+    orders give the same product for these commuting channels), and the
+    target marginal averages over every control branch. The flip
+    probability is ``(1 - eta_z) / 2`` of that average.
     """
-    v1, v2, v3, v4 = _bloch_multipliers(family, p)
-    if kind is SupermapKind.SWITCH:
-        m = _prod([v1, v2])
-    elif kind is SupermapKind.COHERENT_SUP:
-        m = _avg([v1, v2])
-    elif kind is SupermapKind.SWITCH_OF_SWITCH:
-        m = _prod([v1, v2, v3, v4])
-    elif kind is SupermapKind.SWITCH_OF_COH:
-        m = _avg([_prod([v1, v3]), _prod([v2, v4])])
-    elif kind is SupermapKind.COH_OF_SWITCH:
-        m = _avg([_prod([v1, v2]), _prod([v3, v4])])
-    elif kind is SupermapKind.COH_OF_COH:
-        m = _avg([v1, v2, v3, v4])
-    else:
-        raise ValueError(f"unknown configuration {kind}")
-    return (1.0 - m[2]) / 2.0
+    models = _leaf_models(family, kind.n_channels)
+    branches = _branches(_TREES[kind], [_Z_MULTIPLIERS[m](p) for m in models])
+    return (1.0 - sum(branches) / len(branches)) / 2.0

@@ -4,16 +4,10 @@ Two composition rules are provided. Two channels can be placed in an
 indefinite causal order controlled by a qubit (``switch``) or routed
 along superposed paths (``coherent_superposition`` of vacuum-extended
 channels). Both accept any pair of equal-dimension square channels,
-composed ones included, so the four nested configurations are
-compositions of the two rules:
-
-* ``sos`` - ``switch(switch(A, B), switch(C, D))``,
-* ``soc`` - ``switch`` of two coherent superpositions,
-* ``cos`` - ``coherent_superposition`` of two vacuum-extended switches,
-* ``coc`` - ``coherent_superposition`` of two vacuum-extended superpositions.
-
-:func:`switchcap.configs.build_supermap` assembles the six configurations
-from these rules.
+composed ones included, so every configuration is a tree of the two
+rules over its constituent channels; ``_TREES`` holds the tree of each
+of the six, which :func:`switchcap.configs.build_supermap` and
+:func:`switchcap.oracle.effective_flip_probability` both fold.
 
 Every composition returns an ordinary :class:`~switchcap.channels.Channel`
 whose Kraus operators are built by literal substitution of the inner Kraus
@@ -46,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channels import Channel, VacuumExtendedChannel
-from .qmatrix import as_complex_matrix, direct_sum, plus_state
+from .qmatrix import as_complex_matrix, plus_state
 
 __all__ = [
     "SupermapKind",
@@ -72,7 +66,26 @@ class SupermapKind(Enum):
 
     @property
     def n_channels(self) -> int:
-        return 2 if self in (SupermapKind.SWITCH, SupermapKind.COHERENT_SUP) else 4
+        return len(_leaves(_TREES[self]))
+
+
+#: Composition tree of each configuration: nested ``(rule, first, second)``
+#: nodes over constituent indices, ``rule`` being ``"switch"`` or ``"coh"``.
+_TREES = {
+    SupermapKind.SWITCH: ("switch", 0, 1),
+    SupermapKind.COHERENT_SUP: ("coh", 0, 1),
+    SupermapKind.SWITCH_OF_SWITCH: ("switch", ("switch", 0, 1), ("switch", 2, 3)),
+    SupermapKind.SWITCH_OF_COH: ("switch", ("coh", 0, 1), ("coh", 2, 3)),
+    SupermapKind.COH_OF_SWITCH: ("coh", ("switch", 0, 1), ("switch", 2, 3)),
+    SupermapKind.COH_OF_COH: ("coh", ("coh", 0, 1), ("coh", 2, 3)),
+}
+
+
+def _leaves(node) -> list:
+    """Constituent indices of a composition tree, left to right."""
+    if isinstance(node, int):
+        return [node]
+    return _leaves(node[1]) + _leaves(node[2])
 
 
 def _require_square_equal(channels: Sequence[Channel]) -> int:
@@ -85,6 +98,15 @@ def _require_square_equal(channels: Sequence[Channel]) -> int:
     return d_in
 
 
+def _controlled(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The operators ``first[i, j] (+) second[i, j]``, stacked in ``(i, j)`` order."""
+    n1, n2, d, _ = first.shape
+    out = np.zeros((n1, n2, 2 * d, 2 * d), dtype=complex)
+    out[..., :d, :d] = first
+    out[..., d:, d:] = second
+    return out.reshape(n1 * n2, 2 * d, 2 * d)
+
+
 def switch(e1: Channel, e2: Channel) -> Channel:
     """Quantum switch of two channels, controlled by a fresh qubit.
 
@@ -94,8 +116,9 @@ def switch(e1: Channel, e2: Channel) -> Channel:
     all Kraus pairs.
     """
     _require_square_equal((e1, e2))
+    k, l = e1.stacked[:, None], e2.stacked[None, :]
     return Channel(
-        tuple(direct_sum(l @ k, k @ l) for k in e1.kraus for l in e2.kraus),
+        _controlled(l @ k, k @ l),
         (2,) + e1.input_dims,
         (2,) + e1.output_dims,
         label=f"switch[{e1.label}; {e2.label}]",
@@ -116,12 +139,10 @@ def coherent_superposition(
     """
     base1, base2 = e1.base, e2.base
     _require_square_equal((base1, base2))
+    alpha = e1.amps[:, None, None, None]
+    beta = e2.amps[None, :, None, None]
     return Channel(
-        tuple(
-            direct_sum(k * beta, alpha * l)
-            for k, alpha in zip(base1.kraus, e1.amps)
-            for l, beta in zip(base2.kraus, e2.amps)
-        ),
+        _controlled(base1.stacked[:, None] * beta, alpha * base2.stacked[None, :]),
         (2,) + base1.input_dims,
         (2,) + base1.output_dims,
         label=f"cohsup[{base1.label}; {base2.label}]",
@@ -177,7 +198,7 @@ def fix_control(ch: Channel, control: Optional[np.ndarray] = None) -> Channel:
         rows = np.sqrt(np.clip(eigvals, 0.0, None))[:, None] * eigvecs.conj().T
         kraus = rows.reshape(-1, d_out, d_target)
     return Channel(
-        tuple(kraus),
+        kraus,
         (d_target,),
         ch.output_dims,
         label=f"{ch.label} @ fixed control",

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from switchcap.channels import Channel, vacuum_extend
+from switchcap.configs import Family
+from switchcap.qmatrix import partial_trace
 
 
 def random_density(rng, dim):
@@ -27,6 +29,35 @@ def random_unitary(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_unit_vector(rng, n):
+    """Complex vector of unit norm, e.g. vacuum amplitudes."""
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def eligible_families(kind):
+    """The families defined for ``kind``: ``MIXED_BLOCK`` needs four channels."""
+    return [f for f in Family if not (kind.n_channels == 2 and f is Family.MIXED_BLOCK)]
+
+
+def random_channel(rng, d_in, d_out, n):
+    """Random channel of ``n`` Kraus operators cut from a Ginibre isometry."""
+    g = rng.normal(size=(n * d_out, d_in)) + 1j * rng.normal(size=(n * d_out, d_in))
+    isometry, _ = np.linalg.qr(g)
+    return Channel(isometry.reshape(n, d_out, d_in), (d_in,), (d_out,))
+
+
+def stinespring_marginals(ch, rho):
+    """Output and environment marginals of ``V rho V^dag``, ``V = sum_a |a>_E (x) K_a``.
+
+    An independent reference for ``apply`` and ``complementary_output``.
+    """
+    v = np.vstack(ch.kraus)
+    joint = v @ rho @ v.conj().T
+    dims = (ch.n_kraus, ch.d_out)
+    return partial_trace(joint, dims, keep=[1]), partial_trace(joint, dims, keep=[0])
 
 
 def ket(*amps):

@@ -184,6 +184,36 @@ class TestVerifyCompleteness:
             Channel((), (2,), (2,), label="empty")
 
 
+class TestChannelStorage:
+    def test_kraus_are_read_only_views_of_one_array(self):
+        source = [k.copy() for k in bit_flip(0.3).kraus]
+        ch = Channel(source, (2,), (2,))
+        source[0][0, 0] = 5.0
+        assert ch.stacked.shape == (2, 2, 2)
+        assert not ch.stacked.flags.writeable
+        for k, row in zip(ch.kraus, ch.stacked):
+            assert np.shares_memory(k, ch.stacked)
+            assert_allclose(k, row)
+        assert ch.kraus[0][0, 0] == pytest.approx(np.sqrt(0.7))
+
+    def test_stacked_is_c_contiguous_whatever_the_input_layout(self):
+        # Kernels on ``stacked`` round differently on other layouts.
+        kraus = np.asfortranarray(np.stack(depolarizing(0.3).kraus))
+        ch = Channel(kraus, (2,), (2,))
+        assert ch.stacked.flags.c_contiguous
+        assert_allclose(ch.stacked, kraus)
+
+    def test_rejects_non_finite_entries(self):
+        k = np.eye(2, dtype=complex)
+        k[1, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            Channel((k,), (2,), (2,))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match \(2, 2\)"):
+            Channel((np.eye(2), np.zeros((3, 3))), (2,), (2,))
+
+
 class TestVacuumExtend:
     def test_bit_flip_uniform_amplitudes(self):
         # Extended operators are K_i (+) 1/sqrt(2) on the 3-dimensional

@@ -162,7 +162,7 @@ class TestSweep:
     def test_mixed_block_rejected_for_two_channels(self, capsys):
         code = main(["sweep", "--config", "switch", "--family", "mixed_block"])
         assert code == 1
-        assert "error: mixed_block needs four channels" in capsys.readouterr().err
+        assert "error: mixed_block needs a multiple of 4 channels" in capsys.readouterr().err
 
     def test_amps_must_be_normalized(self):
         code = main(

@@ -8,8 +8,11 @@ from scipy.optimize import minimize as scipy_minimize
 
 from _helpers import (
     channel_pairs_and_states,
+    eligible_families,
+    random_channel,
     random_density,
     random_pure,
+    stinespring_marginals,
     uncompressed_fixed,
 )
 from switchcap import infotheory
@@ -152,6 +155,21 @@ class TestHolevoInformation:
         chi = holevo_information(fixed, Ensemble.computational())
         assert chi == pytest.approx(1.0, abs=1e-12)
 
+    def test_post_processing_cannot_raise_it(self):
+        # Data processing: chi(N o E) <= chi(E) for any channels E and N.
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            d_mid = int(rng.integers(1, 4))
+            # At least d_in / d_out operators, or no isometry exists.
+            e = random_channel(rng, 2, d_mid, int(rng.integers(-(-2 // d_mid), 5)))
+            n = random_channel(rng, d_mid, 2, int(rng.integers(-(-d_mid // 2), 5)))
+            composed = Channel(
+                tuple(b @ a for a in e.kraus for b in n.kraus), (2,), (2,)
+            )
+            ens = Ensemble.computational(rng.uniform())
+            chi_e = holevo_information(e, ens)
+            assert holevo_information(composed, ens) <= chi_e + 1e-12
+
     def test_bounds(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -191,12 +209,13 @@ class TestComplementaryOutput:
                 assert_density_matrix(w)
 
     def test_exchange_entropy_matches_full_environment_state(self):
-        # The reduced-Gram path must agree with the entropy of the full W.
+        # Reference: the environment marginal of the Stinespring state.
         rng = np.random.default_rng(23)
         for kind in (SupermapKind.SWITCH, SupermapKind.COH_OF_COH):
             fixed = build_fixed(kind, Family.DEPOLARIZING, 0.45)
             rho = random_density(rng, 2)
-            direct = von_neumann_entropy(complementary_output(fixed, rho))
+            _, env = stinespring_marginals(fixed, rho)
+            direct = von_neumann_entropy(env)
             assert exchange_entropy(fixed, rho) == pytest.approx(direct, abs=1e-9)
 
 
@@ -219,8 +238,10 @@ class TestCoherentInformation:
     @given(case=channels_and_states())
     def test_random_channel_matches_reference_entropies(self, case):
         ch, rho = case
-        s_env = von_neumann_entropy(complementary_output(ch, rho))
-        reference = von_neumann_entropy(apply(ch, rho)) - s_env
+        out, env = stinespring_marginals(ch, rho)
+        assert_allclose(complementary_output(ch, rho), env, rtol=0, atol=1e-12)
+        s_env = von_neumann_entropy(env)
+        reference = von_neumann_entropy(out) - s_env
         assert exchange_entropy(ch, rho) == pytest.approx(s_env, abs=1e-9)
         assert coherent_information(ch, rho) == pytest.approx(reference, abs=1e-9)
 
@@ -348,6 +369,15 @@ class TestOptimizerBehaviour:
         fixed = build_fixed(kind, Family.DEPOLARIZING, 0.0)
         assert classical_capacity(fixed, FAST).value == pytest.approx(1.0, abs=1e-3)
         assert quantum_capacity(fixed, FAST).value == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_noiseless_quantum_capacity_at_most_one_bit(self, kind):
+        # A qubit input carries at most log2(2) = 1 bit; rounding put the
+        # raw optimum a few ulp above it for the nested kinds.
+        for family in eligible_families(kind):
+            res = quantum_capacity(build_fixed(kind, family, 0.0))
+            assert res.value <= 1.0, (family, res.raw_value)
+            assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_quantum_converged_rule(self, monkeypatch):
         # One run reports the solver's own success; two or more report

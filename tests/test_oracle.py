@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from switchcap.configs import Family
+from _helpers import eligible_families, random_unit_vector
+from switchcap import supermaps
+from switchcap.configs import Family, build_fixed
+from switchcap.infotheory import target_marginal
 from switchcap.oracle import (
     CapacityType,
     ClosedFormId,
@@ -16,6 +19,13 @@ C = CapacityType.CLASSICAL
 Q = CapacityType.QUANTUM
 
 GRID = np.linspace(0.0, 1.0, 201)
+KET0 = np.diag([1.0, 0.0]).astype(complex)
+
+
+def _flip_of_kraus_build(kind, family, p, amps=None, outer_amps=None):
+    """``<1| target_marginal(|0><0|) |1>`` of the composed, fixed channel."""
+    fixed = build_fixed(kind, family, p, amps, outer_amps)
+    return target_marginal(fixed, KET0)[1, 1].real
 
 
 def _cid(kind, family, cap=C):
@@ -169,3 +179,59 @@ class TestFlipProbabilityModel:
                     SupermapKind.SWITCH_OF_SWITCH, family, p
                 )
                 assert abs(deep - 0.5) <= abs(shallow - 0.5) + 1e-12
+
+    @pytest.mark.parametrize("kind", list(SupermapKind))
+    def test_tree_matches_kraus_build(self, kind):
+        # The oracle folds the same composition tree as the Kraus build,
+        # with hand-derived multipliers in place of Kraus operators.
+        for family in eligible_families(kind):
+            for p in (0.0, 0.2, 0.5, 0.8, 1.0):
+                expected = effective_flip_probability(kind, family, p)
+                numeric = _flip_of_kraus_build(kind, family, p)
+                assert numeric == pytest.approx(expected, abs=1e-12), (family, p)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            SupermapKind.COHERENT_SUP,
+            SupermapKind.SWITCH_OF_COH,
+            SupermapKind.COH_OF_SWITCH,
+            SupermapKind.COH_OF_COH,
+        ],
+    )
+    def test_tree_matches_kraus_build_with_drawn_amplitudes(self, kind):
+        # Tracing the path controls removes every amplitude from the target
+        # marginal, so drawn complex vectors leave the flip probability alone.
+        rng = np.random.default_rng(71)
+        for family in (Family.BIT_FLIP, Family.MIXED_ALTERNATING, Family.DEPOLARIZING):
+            n = 4 if family is Family.DEPOLARIZING else 2
+            for p in rng.uniform(size=3):
+                if kind is SupermapKind.COH_OF_SWITCH:
+                    amps, outer = random_unit_vector(rng, n * n), None
+                elif kind is SupermapKind.COH_OF_COH:
+                    amps, outer = random_unit_vector(rng, n), random_unit_vector(rng, n * n)
+                else:
+                    amps, outer = random_unit_vector(rng, n), None
+                expected = effective_flip_probability(kind, family, p)
+                numeric = _flip_of_kraus_build(kind, family, p, amps, outer)
+                assert numeric == pytest.approx(expected, abs=1e-12), (family, p)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            ("coh", ("switch", 0, 1), ("coh", 2, 3)),
+            ("coh", ("coh", 0, 1), ("switch", 2, 3)),
+            ("switch", ("coh", 0, 1), ("switch", 2, 3)),
+            ("switch", ("switch", 0, 1), ("coh", 2, 3)),
+        ],
+    )
+    def test_hybrid_trees_match_kraus_build(self, tree, monkeypatch):
+        # Trees outside the six, where a switch and a superposition are
+        # siblings: the switch's doubled branches keep the weights right.
+        kind = SupermapKind.COH_OF_COH
+        monkeypatch.setitem(supermaps._TREES, kind, tree)
+        for family in (Family.BIT_FLIP, Family.MIXED_BLOCK, Family.DEPOLARIZING):
+            for p in (0.1, 0.3, 0.7):
+                expected = effective_flip_probability(kind, family, p)
+                numeric = _flip_of_kraus_build(kind, family, p)
+                assert numeric == pytest.approx(expected, abs=1e-12), (family, p)

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from _helpers import channel_pairs_and_states, random_density, uncompressed_fixed
+from _helpers import (
+    channel_pairs_and_states,
+    eligible_families,
+    random_channel,
+    random_density,
+    random_unit_vector,
+    uncompressed_fixed,
+)
 from switchcap.channels import (
     apply,
     bit_flip,
@@ -23,10 +30,6 @@ KET0 = projector(np.array([1, 0], dtype=complex))
 KET1 = projector(np.array([0, 1], dtype=complex))
 
 ALL_KINDS = list(SupermapKind)
-
-
-def _families_for(kind):
-    return [f for f in Family if not (kind.n_channels == 2 and f is Family.MIXED_BLOCK)]
 
 
 def _extended(ch, amps=None):
@@ -105,6 +108,29 @@ class TestCoherentSuperposition:
             assert verify_completeness(ch, 1e-10)
 
 
+class TestBlockConstruction:
+    """The batched compositions against one ``direct_sum`` per Kraus pair."""
+
+    def test_switch_pairs(self):
+        rng = np.random.default_rng(8)
+        e1, e2 = random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 3)
+        ch = switch(e1, e2)
+        pairs = [(k, l) for k in e1.kraus for l in e2.kraus]
+        assert ch.n_kraus == len(pairs)
+        for m, (k, l) in zip(ch.kraus, pairs):
+            assert_allclose(m, direct_sum(l @ k, k @ l), rtol=0, atol=1e-15)
+
+    def test_superposition_pairs(self):
+        rng = np.random.default_rng(9)
+        e1, e2 = random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 3)
+        alpha, beta = random_unit_vector(rng, 2), random_unit_vector(rng, 3)
+        ch = coherent_superposition(vacuum_extend(e1, alpha), vacuum_extend(e2, beta))
+        pairs = [(k, a, l, b) for k, a in zip(e1.kraus, alpha) for l, b in zip(e2.kraus, beta)]
+        assert ch.n_kraus == len(pairs)
+        for m, (k, a, l, b) in zip(ch.kraus, pairs):
+            assert_allclose(m, direct_sum(k * b, a * l), rtol=0, atol=1e-15)
+
+
 class TestNestedCompositions:
     """The four nests built from ``switch`` and ``coherent_superposition``."""
 
@@ -169,10 +195,22 @@ class TestNestedCompositions:
         assert completeness_defect(fixed) <= 1e-10
 
 
+class TestAmplitudeRejection:
+    @pytest.mark.parametrize("kind", [SupermapKind.SWITCH, SupermapKind.SWITCH_OF_SWITCH])
+    def test_amps_rejected_without_a_superposition(self, kind):
+        with pytest.raises(ValueError, match="does not take vacuum amplitudes"):
+            build_supermap(kind, Family.BIT_FLIP, 0.3, amps=(1.0, 0.0))
+
+    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k is not SupermapKind.COH_OF_COH])
+    def test_outer_amps_rejected_except_for_coc(self, kind):
+        with pytest.raises(ValueError, match="outer_amps only applies to coc"):
+            build_supermap(kind, Family.BIT_FLIP, 0.3, outer_amps=(1.0, 0.0, 0.0, 0.0))
+
+
 class TestCompletenessGrid:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_default_amplitudes_grid(self, kind):
-        for family in _families_for(kind):
+        for family in eligible_families(kind):
             for p in np.linspace(0, 1, 11):
                 ch = build_supermap(kind, family, float(p))
                 assert completeness_defect(ch) <= 1e-10, (kind, family, p)
@@ -193,7 +231,7 @@ class TestFixControl:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_fixed_channels_complete_on_target(self, kind):
-        for family in _families_for(kind):
+        for family in eligible_families(kind):
             for p in (0.0, 0.3, 0.7, 1.0):
                 fixed = build_fixed(kind, family, p)
                 assert fixed.d_in == 2
