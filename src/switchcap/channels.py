@@ -87,7 +87,11 @@ class Channel:
         if any(d < 1 for d in self.input_dims + self.output_dims):
             raise ValueError("subsystem dimensions must be positive")
         shape = (self.d_out, self.d_in)
-        wrong = {np.shape(k) for k in self.kraus} - {shape}
+        kraus = self.kraus
+        if isinstance(kraus, np.ndarray) and kraus.ndim == 3:
+            wrong = {kraus.shape[1:]} - {shape}
+        else:
+            wrong = {np.shape(k) for k in kraus} - {shape}
         if wrong:
             raise ValueError(f"Kraus operator of shape {wrong.pop()} does not match {shape}")
         stacked = np.array(self.kraus, dtype=complex, order="C").reshape(-1, *shape)
@@ -140,28 +144,30 @@ def phase_flip(p: float) -> Channel:
     return Channel(kraus, (2,), (2,), label=f"phaseflip(p={p:g})")
 
 
-def pauli(px: float, py: float, pz: float) -> Channel:
-    """Pauli channel with independent x, y and z error probabilities."""
-    px = _check_probability(px, "px")
-    py = _check_probability(py, "py")
-    pz = _check_probability(pz, "pz")
+def _pauli_kraus(px: float, py: float, pz: float) -> tuple:
     total = px + py + pz
     if total > 1.0 + 1e-12:
         raise ValueError(f"px + py + pz = {total} exceeds 1")
-    kraus = (
+    return (
         np.sqrt(max(1 - total, 0.0)) * IDENTITY_2,
         np.sqrt(px) * SIGMA_X,
         np.sqrt(py) * SIGMA_Y,
         np.sqrt(pz) * SIGMA_Z,
     )
-    return Channel(kraus, (2,), (2,), label=f"pauli({px:g},{py:g},{pz:g})")
+
+
+def pauli(px: float, py: float, pz: float) -> Channel:
+    """Pauli channel with independent x, y and z error probabilities."""
+    px = _check_probability(px, "px")
+    py = _check_probability(py, "py")
+    pz = _check_probability(pz, "pz")
+    return Channel(_pauli_kraus(px, py, pz), (2,), (2,), label=f"pauli({px:g},{py:g},{pz:g})")
 
 
 def depolarizing(p: float) -> Channel:
     """Depolarizing channel: Pauli channel with equal error probabilities p/3."""
     p = _check_probability(p, "p")
-    ch = pauli(p / 3, p / 3, p / 3)
-    return Channel(ch.kraus, (2,), (2,), label=f"depolarizing(p={p:g})")
+    return Channel(_pauli_kraus(p / 3, p / 3, p / 3), (2,), (2,), label=f"depolarizing(p={p:g})")
 
 
 def identity_channel(dim: int = 2) -> Channel:

@@ -10,10 +10,11 @@ Three subcommands are provided:
                      depolarizing channels for several vacuum-amplitude sets.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 optimizer non-convergence,
-3 requested tolerance unachievable. CSV output is byte-deterministic for a
-fixed seed: fixed column order, floats at 9 significant digits (capacities
-below ``CAPACITY_NOISE_BITS`` print as ``0``), LF line endings, rows sorted
-before writing.
+3 requested tolerance unachievable, 4 numerical failure (a capacity solver
+raised, for example on a state below the positivity floor). CSV output is
+byte-deterministic for a fixed seed: fixed column order, floats at 9
+significant digits (capacities below ``CAPACITY_NOISE_BITS`` print as
+``0``), LF line endings, rows sorted before writing.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ class _UsageError(Exception):
     pass
 
 
+class _NumericalError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse parser that reports usage problems via exit code 1."""
 
@@ -75,20 +80,33 @@ def _fmt_capacity(value: float) -> str:
     return "0" if abs(value) < CAPACITY_NOISE_BITS else _fmt(value)
 
 
-def _parse_amps(text: str) -> np.ndarray:
-    """Parse comma-separated real amplitudes; normalize only tiny defects.
+def _fmt_amplitude(a: complex) -> str:
+    """CSV label of an amplitude: ``_fmt`` of a real one, ``<re>+<im>j`` of a
+    complex one, each part by ``_fmt`` (``+`` dropped before a negative part)."""
+    if a.imag == 0:
+        return _fmt(a.real)
+    imag = _fmt(a.imag)
+    return f"{_fmt(a.real)}{'' if imag.startswith('-') else '+'}{imag}j"
 
-    The squared norm must be within 1e-6 of 1; anything farther off is
-    rejected rather than silently rescaled.
+
+def _parse_amps(text: str) -> np.ndarray:
+    """Parse comma-separated amplitudes; normalize only tiny defects.
+
+    Each amplitude is a Python ``complex`` literal, such as ``0.5`` or
+    ``0.5+0.5j``; a set without imaginary parts is returned as reals. The
+    squared norm must be within 1e-6 of 1; anything farther off (or not
+    finite) is rejected rather than silently rescaled.
     """
     try:
-        values = np.array([float(t) for t in text.split(",")], dtype=float)
+        values = np.array([complex(t) for t in text.split(",")])
     except ValueError as exc:
         raise _UsageError(f"could not parse amplitudes {text!r}: {exc}") from None
     if values.size == 0:
         raise _UsageError("empty amplitude list")
-    norm_sq = float(np.sum(values**2))
-    if abs(norm_sq - 1.0) > 1e-6:
+    if not values.imag.any():
+        values = values.real
+    norm_sq = float(np.sum(np.abs(values) ** 2))
+    if not abs(norm_sq - 1.0) <= 1e-6:
         raise _UsageError(
             f"amplitudes {text!r} have squared norm {norm_sq:.8f}; "
             "must be normalized to within 1e-6"
@@ -155,8 +173,8 @@ def build_parser() -> _Parser:
         "--amps",
         type=str,
         default=None,
-        help="comma-separated vacuum amplitudes, one per Kraus operator "
-        "of the channel being extended",
+        help="comma-separated vacuum amplitudes (real or complex, e.g. 0.5+0.5j), "
+        "one per Kraus operator of the channel being extended",
     )
     _add_common(sweep, 1e-6, "quantum-capacity restart-agreement tolerance in bits")
 
@@ -178,7 +196,7 @@ def build_parser() -> _Parser:
         "--amps",
         action="append",
         default=None,
-        help="amplitude set (comma-separated, length 4); repeatable, "
+        help="amplitude set (comma-separated, length 4, real or complex); repeatable, "
         "defaults to four reference sets",
     )
     _add_common(vacuum, 1e-6, "quantum-capacity restart-agreement tolerance in bits")
@@ -189,6 +207,14 @@ _SOLVERS = {
     CapacityType.CLASSICAL: classical_capacity,
     CapacityType.QUANTUM: quantum_capacity,
 }
+
+
+def _solve(cap: CapacityType, fixed, cfg: OptimizerConfig):
+    """Run one capacity solver; a ``ValueError`` it raises is a numerical failure."""
+    try:
+        return _SOLVERS[cap](fixed, cfg)
+    except ValueError as exc:
+        raise _NumericalError(f"{cap.token} capacity of {fixed.label}: {exc}") from None
 
 
 def cmd_sweep(args) -> int:
@@ -212,7 +238,7 @@ def cmd_sweep(args) -> int:
         print(f"sweep {kind.token}/{family.token} p={p:.4f}", file=sys.stderr)
         fixed = build_fixed(kind, family, p, amps)
         for cap in capacities:
-            res = _SOLVERS[cap](fixed, cfg)
+            res = _solve(cap, fixed, cfg)
             all_converged &= res.converged
             rows.append(
                 (
@@ -242,7 +268,7 @@ def cmd_validate(args) -> int:
         for p in grid:
             reference = closed_form(form_id, p)
             fixed = build_fixed(form_id.configuration, form_id.family, p)
-            res = _SOLVERS[form_id.capacity_type](fixed, cfg)
+            res = _solve(form_id.capacity_type, fixed, cfg)
             dev = abs(res.value - reference)
             if dev > worst_dev:
                 worst_dev, worst_p = dev, p
@@ -291,9 +317,9 @@ def cmd_vacuum_sweep(args) -> int:
         print(f"vacuum-sweep p={p:.4f}", file=sys.stderr)
         for index, amps in enumerate(amp_sets):
             fixed = build_fixed(SupermapKind.COHERENT_SUP, family, p, amps)
-            res = quantum_capacity(fixed, cfg)
+            res = _solve(CapacityType.QUANTUM, fixed, cfg)
             all_converged &= res.converged
-            label = "|".join(_fmt(a) for a in amps)
+            label = "|".join(_fmt_amplitude(a) for a in amps)
             rows.append(
                 (
                     p,
@@ -325,6 +351,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except _NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 def main_entry() -> None:

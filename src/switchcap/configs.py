@@ -68,8 +68,14 @@ def _leaf_models(family: Family, count: int) -> tuple:
 
 
 def family_channels(family: Family, p: float, count: int) -> tuple:
-    """The ``count`` constituent channels of ``family`` at noise ``p``."""
-    return tuple(model(p) for model in _leaf_models(family, count))
+    """The ``count`` constituent channels of ``family`` at noise ``p``.
+
+    Each distinct noise model is built once; channels are immutable, so
+    the leaves that repeat it share one instance.
+    """
+    models = _leaf_models(family, count)
+    built = {model: model(p) for model in dict.fromkeys(models)}
+    return tuple(built[model] for model in models)
 
 
 def _slot(node) -> str:

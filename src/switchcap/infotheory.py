@@ -15,7 +15,11 @@ fixed (see :func:`switchcap.supermaps.fix_control`):
   control and path factors is kept; this is what makes the result
   sensitive to the choice of vacuum amplitudes on superposed paths.
 
-The classical capacity is one bounded scalar solve of a concave function.
+The classical capacity is one bounded scalar solve of a concave function,
+and needs a qubit target output factor. The target marginals of the two
+basis inputs are built and checked once per call; each evaluation is the
+closed-form entropy of their 2 x 2 mixture, computed on floats.
+
 Coherent information is not concave, so ``quantum_capacity`` runs its own
 multistart BFGS over the Bloch ball: a canonical start (maximally mixed
 state) plus seeded random restarts, deterministic for a fixed seed. Output
@@ -35,11 +39,11 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .channels import Channel, _input_state, apply
 from .qmatrix import (
+    EIGENVALUE_FLOOR,
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    as_complex_matrix,
     assert_density_matrix,
     partial_trace,
     von_neumann_entropy,
@@ -88,8 +92,7 @@ class Ensemble:
             prob = float(prob)
             if prob < -1e-12:
                 raise ValueError(f"negative ensemble probability {prob}")
-            rho = as_complex_matrix(rho)
-            assert_density_matrix(rho)
+            rho = assert_density_matrix(rho)
             purity = float(np.trace(rho @ rho).real)
             if abs(purity - 1.0) > 1e-9:
                 raise ValueError(f"ensemble state has purity {purity}, expected pure")
@@ -200,28 +203,62 @@ def target_marginal(ch: Channel, rho: np.ndarray) -> np.ndarray:
     return partial_trace(out, ch.output_dims, keep=[len(ch.output_dims) - 1])
 
 
+def _holevo_objective(ch: Channel):
+    """``w -> -chi(w)`` for the prior ``{(w, |0>), (1-w, |1>)}`` on the target marginal.
+
+    The target marginals ``m0`` and ``m1`` of the two basis inputs come from
+    one contraction over the Kraus operators and pass the checks of
+    :func:`von_neumann_entropy` (finite, Hermitian, spectrum above
+    ``EIGENVALUE_FLOOR``), which also gives their entropies. Each evaluation
+    is then closed-form arithmetic on floats: the eigenvalues of the 2 x 2
+    average ``w m0 + (1-w) m1`` are ``trace/2 +- hypot(...)``. The target
+    output factor must be a qubit.
+    """
+    cols = ch.stacked.reshape(ch.n_kraus, -1, 2, 2)
+    m0, m1 = np.einsum("arti,arui->itu", cols, cols.conj())
+    s0 = von_neumann_entropy(m0)
+    s1 = von_neumann_entropy(m1)
+    # A convex combination of the two validated states is Hermitian and
+    # finite, and its smallest eigenvalue is at least the smaller of theirs
+    # (the smallest eigenvalue is concave), so an evaluation repeats only the
+    # floor check, on two floats.
+    a0, d0, b0 = float(m0[0, 0].real), float(m0[1, 1].real), complex(m0[1, 0])
+    a1, d1, b1 = float(m1[0, 0].real), float(m1[1, 1].real), complex(m1[1, 0])
+
+    def negative_holevo(w: float) -> float:
+        v = 1.0 - w
+        a, d, b = w * a0 + v * a1, w * d0 + v * d1, w * b0 + v * b1
+        half = 0.5 * (a + d)
+        radius = math.hypot(0.5 * (a - d), b.real, b.imag)
+        entropy = 0.0
+        for eig in (half - radius, half + radius):
+            if eig < EIGENVALUE_FLOOR:
+                raise ValueError(f"eigenvalue {eig:.3e} below positivity floor")
+            eig = min(eig, 1.0)
+            if eig > 0.0:
+                entropy -= eig * math.log2(eig)
+        return w * s0 + v * s1 - entropy
+
+    return negative_holevo
+
+
 def classical_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> CapacityResult:
     """One-shot classical capacity over computational-basis signaling.
 
     Maximizes the Holevo information of ``{(w, |0>), (1-w, |1>)}`` on the
     target marginal over ``w`` by one bounded scalar solve; the quantity is
     concave in ``w``, so ``converged`` (the solver's success) certifies the
-    maximum. The input space must be a qubit.
+    maximum. The input space and the target (last) output factor must be
+    qubits. The two target marginals are built and checked once, at entry;
+    each evaluation is the closed-form 2 x 2 entropy of their mixture.
     """
     cfg = cfg or OptimizerConfig()
     if ch.d_in != 2:
         raise ValueError("classical capacity requires a qubit input space")
-    m0 = target_marginal(ch, _KET0)
-    m1 = target_marginal(ch, _KET1)
-    s0 = von_neumann_entropy(m0)
-    s1 = von_neumann_entropy(m1)
-
-    def negative_holevo(w: float) -> float:
-        avg = w * m0 + (1.0 - w) * m1
-        return float(w * s0 + (1.0 - w) * s1 - von_neumann_entropy(avg))
-
+    if ch.output_dims[-1] != 2:
+        raise ValueError("classical capacity requires a qubit target output factor")
     res = minimize_scalar(
-        negative_holevo,
+        _holevo_objective(ch),
         bounds=(0.0, 1.0),
         method="bounded",
         options={"maxiter": cfg.max_iterations, "xatol": _WEIGHT_XATOL},

@@ -182,11 +182,12 @@ def is_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return True
 
 
-def assert_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
+def assert_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Raise ``ValueError`` unless ``rho`` satisfies all density-matrix invariants.
 
-    Checks, each within ``tol``: Hermiticity (max-abs deviation of
-    ``rho - rho†``), unit trace, and eigenvalues bounded below by ``-tol``.
+    Checks, each within ``tol``: finite entries, Hermiticity (max-abs
+    deviation of ``rho - rho†``), unit trace, and eigenvalues bounded below
+    by ``-tol``. Returns ``rho`` as the checked complex matrix.
     """
     rho = as_complex_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
@@ -200,6 +201,7 @@ def assert_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
     eigs = np.linalg.eigvalsh(rho)
     if eigs.min() < -tol:
         raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
+    return rho
 
 
 def ket(*amplitudes) -> np.ndarray:

@@ -189,8 +189,8 @@ def fix_control(ch: Channel, control: Optional[np.ndarray] = None) -> Channel:
         control = plus_state(n_qubits)
     cvec = _pure_control_vector(control, d_control)
     embed = np.kron(cvec.reshape(-1, 1), np.eye(d_target, dtype=complex))
-    kraus = ch.stacked @ embed
-    n, d_out, _ = kraus.shape
+    n, d_out, _ = ch.stacked.shape
+    kraus = (ch.stacked.reshape(-1, ch.d_in) @ embed).reshape(n, d_out, d_target)
     if n > d_out * d_target:
         # Rows sqrt(lam_i) u_i^dag have Gram sum_i lam_i u_i u_i^dag = V^dag V.
         v = kraus.reshape(n, -1)

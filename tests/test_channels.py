@@ -213,6 +213,10 @@ class TestChannelStorage:
         with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match \(2, 2\)"):
             Channel((np.eye(2), np.zeros((3, 3))), (2,), (2,))
 
+    def test_rejects_wrong_shape_of_a_stacked_array(self):
+        with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match \(2, 2\)"):
+            Channel(np.zeros((2, 3, 3)), (2,), (2,))
+
 
 class TestVacuumExtend:
     def test_bit_flip_uniform_amplitudes(self):

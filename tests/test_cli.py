@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
+from switchcap import cli
 from switchcap.cli import CAPACITY_NOISE_BITS, main
 from switchcap.configs import Family, build_fixed
-from switchcap.infotheory import classical_capacity
+from switchcap.infotheory import OptimizerConfig, classical_capacity, quantum_capacity
+from switchcap.oracle import CapacityType
 from switchcap.supermaps import SupermapKind
 
 SWEEP_HEADER = "p,configuration,family,capacity_type,value,converged,restarts,seed"
@@ -274,3 +277,101 @@ class TestVacuumSweep:
 
     def test_wrong_length_rejected(self):
         assert main(["vacuum-sweep", "--amps", "1,0", "--p-steps", "1"]) == 1
+
+
+class TestNumericalFailure:
+    """A solver that raises mid-run gives exit code 4 and one error line."""
+
+    MESSAGE = "eigenvalue -1.000e-03 below positivity floor"
+
+    def _break(self, monkeypatch, capacity):
+        def boom(ch, cfg):
+            raise ValueError(self.MESSAGE)
+
+        monkeypatch.setitem(cli._SOLVERS, capacity, boom)
+
+    @pytest.mark.parametrize(
+        ("capacity", "argv"),
+        [
+            (
+                CapacityType.CLASSICAL,
+                ["sweep", "--config", "switch", "--family", "bitflip", "--p-steps", "2"],
+            ),
+            (CapacityType.CLASSICAL, ["validate", "--p-steps", "2"]),
+            (CapacityType.QUANTUM, ["vacuum-sweep", "--p-steps", "2"]),
+        ],
+        ids=["sweep", "validate", "vacuum-sweep"],
+    )
+    def test_exit_four(self, capacity, argv, monkeypatch, capsys, tmp_path):
+        self._break(monkeypatch, capacity)
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"error: {capacity.token} capacity of " in err
+        assert err.rstrip().endswith(self.MESSAGE)
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_documented(self):
+        assert "4 numerical failure" in cli.__doc__
+
+
+class TestComplexAmplitudes:
+    def test_parse_complex_syntax(self):
+        values = cli._parse_amps("0.5+0.5j,0.5,-0.5j,0")
+        assert values.dtype == complex
+        assert_allclose(values, [0.5 + 0.5j, 0.5, -0.5j, 0], rtol=0, atol=1e-15)
+
+    def test_real_sets_stay_real(self):
+        values = cli._parse_amps("0.6,0.8")
+        assert values.dtype == np.float64
+        assert values.tolist() == [0.6, 0.8]
+
+    def test_complex_norm_rule(self):
+        with pytest.raises(cli._UsageError, match="squared norm"):
+            cli._parse_amps("0.9j,0.1")
+        with pytest.raises(cli._UsageError, match="squared norm"):
+            cli._parse_amps("nan,0")
+        with pytest.raises(cli._UsageError, match="could not parse"):
+            cli._parse_amps("0.5+,0.5")
+        a = np.sqrt(0.5) + 2e-7
+        assert abs(cli._parse_amps(f"{a}j,{np.sqrt(0.5)}")[0]) == pytest.approx(np.sqrt(0.5))
+
+    def test_labels(self):
+        assert cli._fmt_amplitude(np.float64(0.5)) == "0.5"
+        assert cli._fmt_amplitude(0.5 + 0j) == "0.5"
+        assert cli._fmt_amplitude(0.5 + 0.25j) == "0.5+0.25j"
+        assert cli._fmt_amplitude(-0.5 - 1 / 3 * 1j) == "-0.5-0.333333333j"
+        assert complex(cli._fmt_amplitude(1 / 3 - 2j / 3)) == pytest.approx(1 / 3 - 2j / 3)
+
+    def test_vacuum_sweep_row(self, tmp_path):
+        out = tmp_path / "vac.csv"
+        code = main(
+            [
+                "vacuum-sweep", "--amps", "0.5+0.5j,0.5,-0.5j,0", "--amps", "1,0,0,0",
+                "--p-start", "0.3", "--p-end", "0.3", "--p-steps", "1",
+                "--restarts", "3", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        rows = [l.split(",") for l in out.read_text().split("\n")[1:] if l]
+        assert [r[4] for r in rows] == ["0.5+0.5j|0.5|0-0.5j|0", "1|0|0|0"]
+        fixed = build_fixed(
+            SupermapKind.COHERENT_SUP, Family.DEPOLARIZING, 0.3, (0.5 + 0.5j, 0.5, -0.5j, 0)
+        )
+        expected = quantum_capacity(fixed, OptimizerConfig(restarts=3)).value
+        assert rows[0][5] == cli._fmt_capacity(expected)
+
+    def test_sweep_takes_complex_amps(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main(
+            [
+                "sweep", "--config", "cohsup", "--family", "bitflip",
+                "--capacity", "classical", "--amps", "0.6j,0.8",
+                "--p-start", "0.3", "--p-end", "0.3", "--p-steps", "1", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        row = out.read_text().split("\n")[1].split(",")
+        fixed = build_fixed(SupermapKind.COHERENT_SUP, Family.BIT_FLIP, 0.3, (0.6j, 0.8))
+        assert row[4] == cli._fmt_capacity(classical_capacity(fixed).value)

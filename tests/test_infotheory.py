@@ -15,7 +15,7 @@ from _helpers import (
     stinespring_marginals,
     uncompressed_fixed,
 )
-from switchcap import infotheory
+from switchcap import infotheory, qmatrix
 from switchcap.channels import (
     Channel,
     apply,
@@ -130,6 +130,19 @@ class TestEnsemble:
     def test_rejects_mixed_states(self):
         with pytest.raises(ValueError, match="pur"):
             Ensemble(((1.0, np.eye(2) / 2),))
+
+    def test_rejects_non_finite_states(self):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            Ensemble(((1.0, np.array([[1.0, np.nan], [0.0, 0.0]])),))
+
+    def test_each_state_is_coerced_and_scanned_once(self, monkeypatch):
+        calls = []
+        coerce = qmatrix.as_complex_matrix
+        counted = lambda a: calls.append(1) or coerce(a)  # noqa: E731
+        monkeypatch.setattr(qmatrix, "as_complex_matrix", counted)
+        monkeypatch.setattr(infotheory, "as_complex_matrix", counted, raising=False)
+        Ensemble.computational(0.3)
+        assert len(calls) == 2
 
 
 class TestOptimizerConfig:
@@ -274,6 +287,36 @@ class TestClassicalCapacity:
         with pytest.raises(ValueError, match="qubit"):
             classical_capacity(identity_channel(4), FAST)
 
+    def test_requires_qubit_target(self):
+        embedding = np.eye(3, 2)
+        with pytest.raises(ValueError, match="qubit target"):
+            classical_capacity(Channel((embedding,), (2,), (3,)), FAST)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: amplitude_damping(0.7),
+            lambda: build_fixed(SupermapKind.SWITCH, Family.DEPOLARIZING, 0.35),
+            lambda: build_fixed(SupermapKind.COH_OF_COH, Family.MIXED_BLOCK, 0.6),
+        ],
+        ids=["amplitude_damping", "switch", "coc"],
+    )
+    def test_eigensolver_calls_do_not_grow_with_evaluations(self, make, monkeypatch):
+        # Two for the target marginals, two for the returned ensemble's states;
+        # the objective itself is closed-form arithmetic.
+        ch = make()
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg,
+                name,
+                lambda *a, _solver=solver, **k: calls.append(1) or _solver(*a, **k),
+            )
+        res = classical_capacity(ch)
+        assert res.evaluations > 4
+        assert len(calls) <= 4
+
     def test_dominates_uniform_signaling(self):
         for kind in ALL_KINDS:
             fixed = build_fixed(kind, Family.MIXED_ALTERNATING, 0.3)
@@ -310,6 +353,53 @@ class TestClassicalCapacity:
         # check sharp when the optimum sits away from w = 1/2.
         for weight in (w, *np.linspace(0, 1, 41)):
             assert res.value >= binary_holevo(ch, weight) - 1e-12
+
+
+def _target_channel(ch):
+    """``ch`` followed by the partial trace onto its last output factor.
+
+    Its Kraus operators are the blocks ``(<r| (x) I) K_a`` over the basis
+    ``r`` of the traced factors.
+    """
+    blocks = ch.stacked.reshape(-1, ch.output_dims[-1], ch.d_in)
+    return Channel(blocks, ch.input_dims, ch.output_dims[-1:])
+
+
+class TestClosedFormObjective:
+    """``_holevo_objective`` against ``holevo_information`` on the target marginal."""
+
+    WEIGHTS = np.linspace(0, 1, 11)
+
+    def _check(self, ch):
+        objective = infotheory._holevo_objective(ch)
+        target = _target_channel(ch)
+        for w in self.WEIGHTS:
+            reference = holevo_information(target, Ensemble.computational(w))
+            assert -objective(w) == pytest.approx(reference, abs=1e-12)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        parts=arrays(np.float64, (2, 24, 2), elements=st.floats(-1, 1)),
+        rest=st.sampled_from([1, 2, 3]),
+        n=st.integers(1, 4),
+    )
+    def test_random_channels(self, parts, rest, n):
+        rows = n * rest * 2
+        isometry, _ = np.linalg.qr(parts[0, :rows] + 1j * parts[1, :rows])
+        dims = (2,) if rest == 1 else (rest, 2)
+        self._check(Channel(isometry.reshape(n, rest * 2, 2), (2,), dims))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_pure_marginals_at_zero_noise(self, kind):
+        fixed = build_fixed(kind, Family.BIT_FLIP, 0.0)
+        assert_allclose(target_marginal(fixed, KET0), KET0, atol=1e-12)
+        self._check(fixed)
+
+    def test_fully_mixed_marginals(self):
+        ch = depolarizing(0.75)
+        assert_allclose(target_marginal(ch, KET0), np.eye(2) / 2, atol=1e-15)
+        self._check(ch)
+        assert classical_capacity(ch).value == pytest.approx(0.0, abs=1e-12)
 
 
 class TestQuantumCapacity:

@@ -12,6 +12,7 @@ from _helpers import (
     uncompressed_fixed,
 )
 from switchcap.channels import (
+    Channel,
     apply,
     bit_flip,
     completeness_defect,
@@ -21,7 +22,7 @@ from switchcap.channels import (
     vacuum_extend,
     verify_completeness,
 )
-from switchcap.configs import Family, build_fixed, build_supermap
+from switchcap.configs import Family, build_fixed, build_supermap, family_channels
 from switchcap.infotheory import coherent_information, exchange_entropy
 from switchcap.qmatrix import direct_sum, partial_trace, plus_state, projector
 from switchcap.supermaps import SupermapKind, coherent_superposition, fix_control, switch
@@ -193,6 +194,31 @@ class TestNestedCompositions:
         assert fixed.d_in == 2
         assert fixed.output_dims == (2, 2, 2)
         assert completeness_defect(fixed) <= 1e-10
+
+
+class TestBuildWork:
+    """Each channel of a build is constructed, and so checked, once."""
+
+    @pytest.mark.parametrize(
+        ("kind", "family", "count"),
+        [
+            # One bit-flip leaf, two superpositions, one switch.
+            (SupermapKind.SWITCH_OF_COH, Family.BIT_FLIP, 4),
+            (SupermapKind.SWITCH, Family.DEPOLARIZING, 2),
+            (SupermapKind.COH_OF_COH, Family.MIXED_ALTERNATING, 5),
+        ],
+    )
+    def test_channel_constructions(self, kind, family, count, monkeypatch):
+        calls = []
+        init = Channel.__post_init__
+        monkeypatch.setattr(Channel, "__post_init__", lambda ch: calls.append(1) or init(ch))
+        build_supermap(kind, family, 0.3)
+        assert len(calls) == count
+
+    def test_repeated_leaves_share_one_channel(self):
+        bit, bit_again, phase, phase_again = family_channels(Family.MIXED_BLOCK, 0.3, 4)
+        assert bit is bit_again and phase is phase_again
+        assert bit.label == "bitflip(p=0.3)" and phase.label == "phaseflip(p=0.3)"
 
 
 class TestAmplitudeRejection:
