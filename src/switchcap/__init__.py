@@ -11,6 +11,7 @@ from .channels import (
     VacuumExtendedChannel,
     apply,
     bit_flip,
+    complementary_output,
     concentrated_amplitudes,
     depolarizing,
     identity_channel,
@@ -27,7 +28,6 @@ from .infotheory import (
     OptimizerConfig,
     classical_capacity,
     coherent_information,
-    complementary_output,
     exchange_entropy,
     holevo_information,
     quantum_capacity,

@@ -38,6 +38,7 @@ __all__ = [
     "depolarizing",
     "identity_channel",
     "apply",
+    "complementary_output",
     "verify_completeness",
     "completeness_defect",
     "normalized_amplitudes",
@@ -193,6 +194,19 @@ def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
     rho = _input_state(ch, rho)
     ks = ch.stacked
     return np.einsum("aij,jk,alk->il", ks, rho, ks.conj())
+
+
+def complementary_output(ch: Channel, rho: np.ndarray) -> np.ndarray:
+    """Environment state seen through the complementary channel.
+
+    Entry ``(a, b)`` is ``Tr(K_a rho K_b^dag)``; the result is a valid
+    density matrix of dimension equal to the Kraus count.
+    """
+    rho = _input_state(ch, rho)
+    ks = ch.stacked
+    n = ch.n_kraus
+    products = (ks @ rho).reshape(n, -1)
+    return products @ ks.conj().reshape(n, -1).T
 
 
 def completeness_defect(ch: Channel) -> float:

@@ -136,7 +136,11 @@ def _write_lines(path: Optional[str], lines: Sequence[str]) -> None:
 
 
 def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(restarts=args.restarts, tolerance=args.tol, seed=args.seed)
+    """The optimizer settings of ``args``; settings it rejects are a usage error."""
+    try:
+        return OptimizerConfig(restarts=args.restarts, tolerance=args.tol, seed=args.seed)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _add_common(parser, default_tol: float, tol_help: str):

@@ -9,6 +9,7 @@ at the uniform superposition.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -22,9 +23,9 @@ from .channels import (
     phase_flip,
     vacuum_extend,
 )
-from .supermaps import _TREES, SupermapKind, coherent_superposition, fix_control, switch
+from .supermaps import SupermapKind, coherent_superposition, fix_control, fold, switch
 
-__all__ = ["Family", "family_channels", "build_supermap", "build_fixed"]
+__all__ = ["Family", "leaf_models", "family_channels", "build_supermap", "build_fixed"]
 
 
 class Family(Enum):
@@ -57,7 +58,7 @@ _LEAF_MODELS = {
 }
 
 
-def _leaf_models(family: Family, count: int) -> tuple:
+def leaf_models(family: Family, count: int) -> tuple:
     """The noise model of each of ``count`` constituent channels of ``family``."""
     models = _LEAF_MODELS[family]
     if count < 1 or count % len(models):
@@ -73,39 +74,9 @@ def family_channels(family: Family, p: float, count: int) -> tuple:
     Each distinct noise model is built once; channels are immutable, so
     the leaves that repeat it share one instance.
     """
-    models = _leaf_models(family, count)
+    models = leaf_models(family, count)
     built = {model: model(p) for model in dict.fromkeys(models)}
     return tuple(built[model] for model in models)
-
-
-def _slot(node) -> str:
-    """``outer_amps`` for a superposition of two superpositions, else ``amps``."""
-    nested = all(not isinstance(child, int) and child[0] == "coh" for child in node[1:])
-    return "outer_amps" if nested else "amps"
-
-
-def _slots(node) -> set:
-    """The amplitude arguments read by the superpositions of a tree."""
-    if isinstance(node, int):
-        return set()
-    own = {_slot(node)} if node[0] == "coh" else set()
-    return own | _slots(node[1]) | _slots(node[2])
-
-
-def _compose(node, chans: Sequence[Channel], vacuum: dict) -> Channel:
-    """Fold a composition tree with ``switch`` and ``coherent_superposition``."""
-    if isinstance(node, int):
-        return chans[node]
-    pair = [_compose(child, chans, vacuum) for child in node[1:]]
-    if node[0] == "switch":
-        return switch(*pair)
-    amps = vacuum[_slot(node)]
-    return coherent_superposition(
-        *(
-            vacuum_extend(ch, concentrated_amplitudes(ch.n_kraus) if amps is None else amps)
-            for ch in pair
-        )
-    )
 
 
 def build_supermap(
@@ -124,16 +95,27 @@ def build_supermap(
     and with ``amps`` otherwise (so for ``COH_OF_SWITCH`` it is the outer
     vector over the inner switch Kraus indices). ``None`` selects the
     concentrated default ``(1, 0, ..., 0)``. A vector no superposition of
-    ``kind`` reads is rejected.
+    ``kind`` reads is rejected before anything is composed.
     """
-    tree = _TREES[kind]
     chans = family_channels(family, p, kind.n_channels)
-    slots = _slots(tree)
-    if outer_amps is not None and "outer_amps" not in slots:
+    # The amplitude vectors and the superpositions reading them, by ``outer`` flag.
+    vectors = {False: amps, True: outer_amps}
+    read = fold(kind, lambda index: set(), operator.or_, lambda a, b, outer: a | b | {outer})
+    if outer_amps is not None and True not in read:
         raise ValueError(f"outer_amps only applies to coc, not {kind.token}")
-    if amps is not None and "amps" not in slots:
+    if amps is not None and False not in read:
         raise ValueError(f"{kind.token} does not take vacuum amplitudes")
-    return _compose(tree, chans, {"amps": amps, "outer_amps": outer_amps})
+
+    def superpose(first: Channel, second: Channel, outer: bool) -> Channel:
+        vec = vectors[outer]
+        return coherent_superposition(
+            *(
+                vacuum_extend(ch, concentrated_amplitudes(ch.n_kraus) if vec is None else vec)
+                for ch in (first, second)
+            )
+        )
+
+    return fold(kind, chans.__getitem__, switch, superpose)
 
 
 def build_fixed(

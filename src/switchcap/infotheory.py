@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .channels import Channel, _input_state, apply
+from .channels import Channel, apply, complementary_output
 from .qmatrix import (
     EIGENVALUE_FLOOR,
     IDENTITY_2,
@@ -169,19 +169,6 @@ def holevo_information(ch: Channel, ens: Ensemble) -> float:
         p * von_neumann_entropy(out) for p, out in zip(probs, outputs)
     )
     return float(max(chi, 0.0))
-
-
-def complementary_output(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    """Environment state seen through the complementary channel.
-
-    Entry ``(a, b)`` is ``Tr(K_a rho K_b^dag)``; the result is a valid
-    density matrix of dimension equal to the Kraus count.
-    """
-    rho = _input_state(ch, rho)
-    ks = ch.stacked
-    n = ch.n_kraus
-    products = (ks @ rho).reshape(n, -1)
-    return products @ ks.conj().reshape(n, -1).T
 
 
 def exchange_entropy(ch: Channel, rho: np.ndarray) -> float:

@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .channels import bit_flip, depolarizing, phase_flip
-from .configs import Family, _leaf_models
-from .supermaps import _TREES, SupermapKind
+from .configs import Family, leaf_models
+from .supermaps import SupermapKind, fold
 
 __all__ = [
     "CapacityType",
@@ -314,32 +314,24 @@ _Z_MULTIPLIERS = {
 }
 
 
-def _branches(node, etas: Sequence[float]) -> List[float]:
-    """Z-multipliers of a composition tree, one per control branch.
-
-    A leaf is one branch; a superposition lists its children's branches;
-    a switch multiplies them branch by branch and lists each product
-    twice, once per order.
-    """
-    if isinstance(node, int):
-        return [etas[node]]
-    rule, first, second = node
-    left, right = _branches(first, etas), _branches(second, etas)
-    if rule == "coh":
-        return left + right
-    return [a * b for a, b in zip(left, right, strict=True) for _ in range(2)]
-
-
 def effective_flip_probability(kind: SupermapKind, family: Family, p: float) -> float:
     """Flip probability of computational signaling through the target marginal.
 
     Tracing the controls reduces each configuration to an algebra on the
-    Bloch z-multipliers of its constituents, folded over its composition
-    tree: a switch multiplies the multipliers of its two branches (both
-    orders give the same product for these commuting channels), and the
-    target marginal averages over every control branch. The flip
+    Bloch z-multipliers of its constituents, which
+    :func:`~switchcap.supermaps.fold` folds over the composition tree into
+    one multiplier per control branch. A leaf is one branch; a
+    superposition lists its children's branches; a switch multiplies them
+    branch by branch (both orders give the same product for these
+    commuting channels) and lists each product twice, once per order. The
+    target marginal averages over every control branch, and the flip
     probability is ``(1 - eta_z) / 2`` of that average.
     """
-    models = _leaf_models(family, kind.n_channels)
-    branches = _branches(_TREES[kind], [_Z_MULTIPLIERS[m](p) for m in models])
+    etas = [_Z_MULTIPLIERS[m](p) for m in leaf_models(family, kind.n_channels)]
+    branches = fold(
+        kind,
+        lambda index: [etas[index]],
+        lambda left, right: [a * b for a, b in zip(left, right, strict=True) for _ in range(2)],
+        lambda left, right, outer: left + right,
+    )
     return (1.0 - sum(branches) / len(branches)) / 2.0

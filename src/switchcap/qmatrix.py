@@ -22,7 +22,6 @@ __all__ = [
     "HERMITIAN_TOL",
     "EIGENVALUE_FLOOR",
     "as_complex_matrix",
-    "dagger",
     "tensor",
     "direct_sum",
     "partial_trace",
@@ -56,11 +55,6 @@ def as_complex_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,8 +140,12 @@ def eig_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     construction. Raises ``ValueError`` if ``h`` deviates from Hermiticity
     by more than ``tol`` in max-abs norm.
     """
-    h = as_complex_matrix(h)
-    dev = np.max(np.abs(h - dagger(h))) if h.size else 0.0
+    return _checked_spectrum(as_complex_matrix(h), tol)
+
+
+def _checked_spectrum(h: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`eig_hermitian` of a matrix already through ``as_complex_matrix``."""
+    dev = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return np.linalg.eigvalsh(h)
@@ -186,19 +184,17 @@ def assert_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> np.nda
     """Raise ``ValueError`` unless ``rho`` satisfies all density-matrix invariants.
 
     Checks, each within ``tol``: finite entries, Hermiticity (max-abs
-    deviation of ``rho - rho†``), unit trace, and eigenvalues bounded below
-    by ``-tol``. Returns ``rho`` as the checked complex matrix.
+    deviation of ``rho - rho†``, by :func:`eig_hermitian`), unit trace, and
+    eigenvalues bounded below by ``-tol``. Returns ``rho`` as the checked
+    complex matrix.
     """
     rho = as_complex_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
-    dev = np.max(np.abs(rho - dagger(rho)))
-    if dev > tol:
-        raise ValueError(f"not Hermitian (max deviation {dev:.3e})")
+    eigs = _checked_spectrum(rho, tol)
     tr = np.trace(rho)
     if abs(tr - 1.0) > tol:
         raise ValueError(f"trace {tr} differs from 1 by more than {tol}")
-    eigs = np.linalg.eigvalsh(rho)
     if eigs.min() < -tol:
         raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
     return rho

@@ -5,9 +5,11 @@ indefinite causal order controlled by a qubit (``switch``) or routed
 along superposed paths (``coherent_superposition`` of vacuum-extended
 channels). Both accept any pair of equal-dimension square channels,
 composed ones included, so every configuration is a tree of the two
-rules over its constituent channels; ``_TREES`` holds the tree of each
-of the six, which :func:`switchcap.configs.build_supermap` and
-:func:`switchcap.oracle.effective_flip_probability` both fold.
+rules over its constituent channels. ``_TREES`` holds the tree of each
+of the six, and :func:`fold` is the one reader of its encoding:
+:func:`switchcap.configs.build_supermap` folds it into Kraus operators,
+and :func:`switchcap.oracle.effective_flip_probability` into Bloch
+z-multipliers.
 
 Every composition returns an ordinary :class:`~switchcap.channels.Channel`
 whose Kraus operators are built by literal substitution of the inner Kraus
@@ -34,16 +36,18 @@ so it cannot be vacuum extended or composed further.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from .channels import Channel, VacuumExtendedChannel
-from .qmatrix import as_complex_matrix, plus_state
+from .qmatrix import assert_density_matrix, plus_state
 
 __all__ = [
     "SupermapKind",
+    "fold",
     "switch",
     "coherent_superposition",
     "fix_control",
@@ -66,7 +70,7 @@ class SupermapKind(Enum):
 
     @property
     def n_channels(self) -> int:
-        return len(_leaves(_TREES[self]))
+        return fold(self, lambda index: 1, operator.add, lambda a, b, outer: a + b)
 
 
 #: Composition tree of each configuration: nested ``(rule, first, second)``
@@ -81,11 +85,31 @@ _TREES = {
 }
 
 
-def _leaves(node) -> list:
-    """Constituent indices of a composition tree, left to right."""
-    if isinstance(node, int):
-        return [node]
-    return _leaves(node[1]) + _leaves(node[2])
+def fold(
+    kind: SupermapKind,
+    leaf: Callable[[int], Any],
+    switch_rule: Callable[[Any, Any], Any],
+    coh_rule: Callable[[Any, Any, bool], Any],
+):
+    """Fold the composition tree of ``kind`` bottom-up.
+
+    A leaf becomes ``leaf(index)``, a switch node ``switch_rule(first,
+    second)`` and a superposition node ``coh_rule(first, second, outer)``
+    of its folded children. ``outer`` says whether both children are
+    superpositions: that node is the outer level of a nested superposition,
+    whose vacuum amplitudes are ``outer_amps`` rather than ``amps``.
+    """
+
+    def walk(node):
+        if isinstance(node, int):
+            return leaf(node)
+        rule, first, second = node
+        if rule == "switch":
+            return switch_rule(walk(first), walk(second))
+        outer = all(isinstance(child, tuple) and child[0] == "coh" for child in (first, second))
+        return coh_rule(walk(first), walk(second), outer)
+
+    return walk(_TREES[kind])
 
 
 def _require_square_equal(channels: Sequence[Channel]) -> int:
@@ -150,14 +174,14 @@ def coherent_superposition(
 
 
 def _pure_control_vector(control: np.ndarray, dim: int) -> np.ndarray:
-    control = as_complex_matrix(control)
-    if control.shape != (dim, dim):
-        raise ValueError(
-            f"control state of shape {control.shape} does not match control dim {dim}"
-        )
+    shape = np.shape(control)
+    if shape != (dim, dim):
+        raise ValueError(f"control state of shape {shape} does not match control dim {dim}")
+    try:
+        control = assert_density_matrix(control)
+    except ValueError as exc:
+        raise ValueError(f"control is not a valid density matrix: {exc}") from None
     eigvals, eigvecs = np.linalg.eigh(control)
-    if abs(np.trace(control) - 1.0) > 1e-10 or eigvals.min() < -1e-10:
-        raise ValueError("control is not a valid density matrix")
     if eigvals[-1] < 1.0 - 1e-10:
         raise ValueError("control state must be pure")
     return eigvecs[:, -1]

@@ -375,3 +375,21 @@ class TestComplexAmplitudes:
         row = out.read_text().split("\n")[1].split(",")
         fixed = build_fixed(SupermapKind.COHERENT_SUP, Family.BIT_FLIP, 0.3, (0.6j, 0.8))
         assert row[4] == cli._fmt_capacity(classical_capacity(fixed).value)
+
+
+class TestOptimizerSettings:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--config", "switch", "--family", "bitflip", "--restarts", "0"],
+             "restarts must be >= 1"),
+            (["validate", "--tol", "0"], "tolerance must be positive"),
+            (["vacuum-sweep", "--restarts", "0"], "restarts must be >= 1"),
+        ],
+    )
+    def test_invalid_optimizer_settings_are_usage_errors(self, argv, message, capsys):
+        # Rejected before any solve: no progress line, no traceback.
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""

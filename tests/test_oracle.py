@@ -3,7 +3,7 @@ import pytest
 
 from _helpers import eligible_families, random_unit_vector
 from switchcap import supermaps
-from switchcap.configs import Family, build_fixed
+from switchcap.configs import Family, build_fixed, build_supermap
 from switchcap.infotheory import target_marginal
 from switchcap.oracle import (
     CapacityType,
@@ -230,6 +230,11 @@ class TestFlipProbabilityModel:
         # siblings: the switch's doubled branches keep the weights right.
         kind = SupermapKind.COH_OF_COH
         monkeypatch.setitem(supermaps._TREES, kind, tree)
+        assert kind.n_channels == 4
+        # No superposition here has two superposition children, so none
+        # reads ``outer_amps``.
+        with pytest.raises(ValueError, match="outer_amps only applies to coc"):
+            build_supermap(kind, Family.BIT_FLIP, 0.3, outer_amps=[1, 0, 0, 0])
         for family in (Family.BIT_FLIP, Family.MIXED_BLOCK, Family.DEPOLARIZING):
             for p in (0.1, 0.3, 0.7):
                 expected = effective_flip_probability(kind, family, p)

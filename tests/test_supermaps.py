@@ -280,6 +280,26 @@ class TestFixControl:
         with pytest.raises(ValueError, match="pure"):
             fix_control(ch, np.eye(2) / 2)
 
+    @pytest.mark.parametrize(
+        "control,reason",
+        [
+            ([[0.5, 5], [0.5, 0.5]], "Hermitian"),
+            ([[1.0, 0.0], [0.0, 1.0]], "trace"),
+            ([[1.5, 0.0], [0.0, -0.5]], "negative eigenvalue"),
+            ([[np.nan, 0.0], [0.0, 1.0]], "NaN"),
+        ],
+    )
+    def test_invalid_control_rejected(self, control, reason):
+        # eigh reads one triangle only, so Hermiticity needs its own check.
+        ch = switch(bit_flip(0.3), bit_flip(0.3))
+        with pytest.raises(ValueError, match=f"control is not a valid density matrix: .*{reason}"):
+            fix_control(ch, control)
+
+    def test_control_shape_checked_first(self):
+        ch = switch(bit_flip(0.3), bit_flip(0.3))
+        with pytest.raises(ValueError, match=r"shape \(4, 4\) does not match control dim 2"):
+            fix_control(ch, np.eye(4) / 4)
+
     def test_plain_channel_rejected(self):
         with pytest.raises(ValueError, match="control"):
             fix_control(bit_flip(0.2))
