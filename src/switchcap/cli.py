@@ -9,6 +9,9 @@ Three subcommands are provided:
 * ``vacuum-sweep`` - quantum capacity of the coherent superposition of two
                      depolarizing channels for several vacuum-amplitude sets.
 
+The library checks that an amplitude set has one entry per Kraus operator.
+``--seed`` must be >= 0 and ``--tol`` finite and > 0.
+
 Exit codes: 0 success, 1 usage or I/O error, 2 optimizer non-convergence,
 3 requested tolerance unachievable, 4 numerical failure (a capacity solver
 raised, for example on a state below the positivity floor). CSV output is
@@ -192,18 +195,16 @@ def build_parser() -> _Parser:
         help="quantum capacity of superposed depolarizing channels per amplitude set",
     )
     vacuum.add_argument(
-        "--family",
-        default=Family.DEPOLARIZING.token,
-        choices=[Family.DEPOLARIZING.token],
-    )
-    vacuum.add_argument(
         "--amps",
         action="append",
         default=None,
-        help="amplitude set (comma-separated, length 4, real or complex); repeatable, "
-        "defaults to four reference sets",
+        help="amplitude set (comma-separated, one per Kraus operator of a depolarizing "
+        "channel, real or complex); repeatable, defaults to four reference sets",
     )
     _add_common(vacuum, 1e-6, "quantum-capacity restart-agreement tolerance in bits")
+    sweep.set_defaults(run=cmd_sweep)
+    validate.set_defaults(run=cmd_validate)
+    vacuum.set_defaults(run=cmd_vacuum_sweep)
     return parser
 
 
@@ -213,49 +214,55 @@ _SOLVERS = {
 }
 
 
-def _solve(cap: CapacityType, fixed, cfg: OptimizerConfig):
-    """Run one capacity solver; a ``ValueError`` it raises is a numerical failure."""
+def _capacity(cap: CapacityType, kind, family, p: float, amps, cfg: OptimizerConfig):
+    """Build ``kind``/``family`` at ``p`` with its control fixed and solve for
+    ``cap``; a ``ValueError`` the solver raises is a numerical failure."""
+    fixed = build_fixed(kind, family, p, amps)
     try:
         return _SOLVERS[cap](fixed, cfg)
     except ValueError as exc:
         raise _NumericalError(f"{cap.token} capacity of {fixed.label}: {exc}") from None
 
 
-def cmd_sweep(args) -> int:
-    kind = SupermapKind(args.config)
-    family = Family(args.family)
-    amps = None if args.amps is None else _parse_amps(args.amps)
+def _sweep(args, progress: str, header: str, kind, family, amp_sets, capacities) -> int:
+    """One CSV row per grid point, amplitude set and capacity, sorted in that order.
+
+    ``amp_sets`` pairs each amplitude vector with the CSV fields labelling it.
+    Each vector is built at the first grid point before any solve, so one the
+    library rejects (say, of the wrong length) is a usage error.
+    """
     grid = _grid(args.p_start, args.p_end, args.p_steps)
     try:
-        build_supermap(kind, family, grid[0], amps)
+        for amps, _ in amp_sets:
+            build_supermap(kind, family, grid[0], amps)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if args.capacity == "both":
-        capacities = [CapacityType.CLASSICAL, CapacityType.QUANTUM]
-    else:
-        capacities = [CapacityType(args.capacity)]
     cfg = _optimizer_config(args)
 
     rows = []
     all_converged = True
     for p in grid:
-        print(f"sweep {kind.token}/{family.token} p={p:.4f}", file=sys.stderr)
-        fixed = build_fixed(kind, family, p, amps)
-        for cap in capacities:
-            res = _solve(cap, fixed, cfg)
-            all_converged &= res.converged
-            rows.append(
-                (
-                    p,
-                    cap.token,
-                    f"{_fmt(p)},{kind.token},{family.token},{cap.token},"
-                    f"{_fmt_capacity(res.value)},{'true' if res.converged else 'false'},"
-                    f"{cfg.restarts},{cfg.seed}",
-                )
-            )
-    rows.sort(key=lambda r: (r[0], r[1]))
-    _write_lines(args.out, [_SWEEP_HEADER] + [r[2] for r in rows])
+        print(f"{progress} p={p:.4f}", file=sys.stderr)
+        for index, (amps, labels) in enumerate(amp_sets):
+            for cap in capacities:
+                res = _capacity(cap, kind, family, p, amps, cfg)
+                all_converged &= res.converged
+                converged = "true" if res.converged else "false"
+                fields = [_fmt(p), kind.token, family.token, cap.token, *labels,
+                          _fmt_capacity(res.value), converged, str(cfg.restarts), str(cfg.seed)]
+                rows.append(((p, index, cap.token), ",".join(fields)))
+    rows.sort(key=lambda r: r[0])
+    _write_lines(args.out, [header] + [line for _, line in rows])
     return 0 if all_converged else 2
+
+
+def cmd_sweep(args) -> int:
+    kind = SupermapKind(args.config)
+    family = Family(args.family)
+    amps = None if args.amps is None else _parse_amps(args.amps)
+    capacities = [c for c in CapacityType if args.capacity in ("both", c.token)]
+    progress = f"sweep {kind.token}/{family.token}"
+    return _sweep(args, progress, _SWEEP_HEADER, kind, family, [(amps, [])], capacities)
 
 
 def cmd_validate(args) -> int:
@@ -271,8 +278,9 @@ def cmd_validate(args) -> int:
         worst_p = grid[0]
         for p in grid:
             reference = closed_form(form_id, p)
-            fixed = build_fixed(form_id.configuration, form_id.family, p)
-            res = _solve(form_id.capacity_type, fixed, cfg)
+            res = _capacity(
+                form_id.capacity_type, form_id.configuration, form_id.family, p, None, cfg
+            )
             dev = abs(res.value - reference)
             if dev > worst_dev:
                 worst_dev, worst_p = dev, p
@@ -301,58 +309,22 @@ def cmd_validate(args) -> int:
 
 
 def cmd_vacuum_sweep(args) -> int:
-    family = Family(args.family)
     if args.amps is None:
         amp_sets = [np.array(s, dtype=float) for s in DEFAULT_AMPLITUDE_SETS]
     else:
         amp_sets = [_parse_amps(text) for text in args.amps]
-    for amps in amp_sets:
-        if amps.size != 4:
-            raise _UsageError(
-                f"each amplitude set needs 4 entries (got {amps.size}); the "
-                "constituent depolarizing channels have 4 Kraus operators"
-            )
-    grid = _grid(args.p_start, args.p_end, args.p_steps)
-    cfg = _optimizer_config(args)
-
-    rows = []
-    all_converged = True
-    for p in grid:
-        print(f"vacuum-sweep p={p:.4f}", file=sys.stderr)
-        for index, amps in enumerate(amp_sets):
-            fixed = build_fixed(SupermapKind.COHERENT_SUP, family, p, amps)
-            res = _solve(CapacityType.QUANTUM, fixed, cfg)
-            all_converged &= res.converged
-            label = "|".join(_fmt_amplitude(a) for a in amps)
-            rows.append(
-                (
-                    p,
-                    index,
-                    f"{_fmt(p)},cohsup,{family.token},quantum,{label},"
-                    f"{_fmt_capacity(res.value)},{'true' if res.converged else 'false'},"
-                    f"{cfg.restarts},{cfg.seed}",
-                )
-            )
-    rows.sort(key=lambda r: (r[0], r[1]))
-    _write_lines(args.out, [_VACUUM_HEADER] + [r[2] for r in rows])
-    return 0 if all_converged else 2
+    labelled = [(amps, ["|".join(_fmt_amplitude(a) for a in amps)]) for amps in amp_sets]
+    return _sweep(
+        args, "vacuum-sweep", _VACUUM_HEADER, SupermapKind.COHERENT_SUP,
+        Family.DEPOLARIZING, labelled, [CapacityType.QUANTUM],
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "vacuum-sweep":
-            return cmd_vacuum_sweep(args)
-        raise _UsageError(f"unknown command {args.command}")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _NumericalError as exc:

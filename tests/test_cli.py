@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import switchcap
 from switchcap import cli
 from switchcap.cli import CAPACITY_NOISE_BITS, main
 from switchcap.configs import Family, build_fixed
@@ -275,8 +281,11 @@ class TestVacuumSweep:
     def test_unnormalized_set_rejected(self):
         assert main(["vacuum-sweep", "--amps", "1,1,0,0", "--p-steps", "1"]) == 1
 
-    def test_wrong_length_rejected(self):
+    def test_wrong_length_rejected(self, capsys):
         assert main(["vacuum-sweep", "--amps", "1,0", "--p-steps", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: expected 4 vacuum amplitudes (one per Kraus operator), got 2\n"
+        )
 
 
 class TestNumericalFailure:
@@ -383,8 +392,13 @@ class TestOptimizerSettings:
         [
             (["sweep", "--config", "switch", "--family", "bitflip", "--restarts", "0"],
              "restarts must be >= 1"),
-            (["validate", "--tol", "0"], "tolerance must be positive"),
+            (["validate", "--tol", "0"], "tolerance must be finite and positive"),
             (["vacuum-sweep", "--restarts", "0"], "restarts must be >= 1"),
+            (["sweep", "--config", "switch", "--family", "bitflip", "--capacity", "quantum",
+              "--p-steps", "2", "--tol", "nan"], "tolerance must be finite and positive"),
+            (["validate", "--tol", "inf"], "tolerance must be finite and positive"),
+            (["vacuum-sweep", "--seed", "-1"], "seed must be >= 0"),
+            (["validate", "--seed", "-1"], "seed must be >= 0"),
         ],
     )
     def test_invalid_optimizer_settings_are_usage_errors(self, argv, message, capsys):
@@ -393,3 +407,28 @@ class TestOptimizerSettings:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+
+class TestEntryPoint:
+    def test_python_dash_m(self):
+        # ``python -m switchcap.cli`` as a process: ``main_entry``'s exit status and streams.
+        paths = [str(Path(switchcap.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+        def run_module(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "switchcap.cli", *args],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+
+        proc = run_module("sweep", "--no-such-flag")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        proc = run_module(
+            "vacuum-sweep", "--amps", "1,0,0,0", "--p-start", "0", "--p-end", "0",
+            "--p-steps", "1", "--restarts", "2",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[0] == (
+            "p,configuration,family,capacity_type,amplitudes,value,converged,restarts,seed"
+        )

@@ -151,6 +151,11 @@ class TestOptimizerConfig:
             OptimizerConfig(restarts=0)
         with pytest.raises(ValueError):
             OptimizerConfig(tolerance=0.0)
+        for tolerance in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tolerance must be"):
+                OptimizerConfig(tolerance=tolerance)
+        with pytest.raises(ValueError, match="seed must be"):
+            OptimizerConfig(seed=-1)
 
 
 class TestHolevoInformation:
