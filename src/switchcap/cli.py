@@ -23,13 +23,14 @@ significant digits (capacities below ``CAPACITY_NOISE_BITS`` print as
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .configs import Family, build_fixed, build_supermap
+from .configs import Family, build_fixed
 from .infotheory import OptimizerConfig, classical_capacity, quantum_capacity
 from .oracle import CapacityType, closed_form, list_available
 from .supermaps import SupermapKind
@@ -214,10 +215,9 @@ _SOLVERS = {
 }
 
 
-def _capacity(cap: CapacityType, kind, family, p: float, amps, cfg: OptimizerConfig):
-    """Build ``kind``/``family`` at ``p`` with its control fixed and solve for
-    ``cap``; a ``ValueError`` the solver raises is a numerical failure."""
-    fixed = build_fixed(kind, family, p, amps)
+def _capacity(cap: CapacityType, fixed, cfg: OptimizerConfig):
+    """Solve the built channel ``fixed`` for ``cap``; a ``ValueError`` the
+    solver raises is a numerical failure."""
     try:
         return _SOLVERS[cap](fixed, cfg)
     except ValueError as exc:
@@ -228,24 +228,31 @@ def _sweep(args, progress: str, header: str, kind, family, amp_sets, capacities)
     """One CSV row per grid point, amplitude set and capacity, sorted in that order.
 
     ``amp_sets`` pairs each amplitude vector with the CSV fields labelling it.
-    Each vector is built at the first grid point before any solve, so one the
-    library rejects (say, of the wrong length) is a usage error.
+    Each (point, vector) is built once, with its control fixed, and every
+    capacity is solved on that build. The first point is built before any
+    solve, so a vector the library rejects (say, of the wrong length) is a
+    usage error.
     """
     grid = _grid(args.p_start, args.p_end, args.p_steps)
+
+    def build(p: float) -> list:
+        return [build_fixed(kind, family, p, amps) for amps, _ in amp_sets]
+
     try:
-        for amps, _ in amp_sets:
-            build_supermap(kind, family, grid[0], amps)
+        fixed = build(grid[0])
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     cfg = _optimizer_config(args)
 
     rows = []
     all_converged = True
-    for p in grid:
+    for step, p in enumerate(grid):
         print(f"{progress} p={p:.4f}", file=sys.stderr)
-        for index, (amps, labels) in enumerate(amp_sets):
+        if step:
+            fixed = build(p)
+        for index, ((_, labels), channel) in enumerate(zip(amp_sets, fixed)):
             for cap in capacities:
-                res = _capacity(cap, kind, family, p, amps, cfg)
+                res = _capacity(cap, channel, cfg)
                 all_converged &= res.converged
                 converged = "true" if res.converged else "false"
                 fields = [_fmt(p), kind.token, family.token, cap.token, *labels,
@@ -269,6 +276,8 @@ def cmd_validate(args) -> int:
     grid = _grid(args.p_start, args.p_end, args.p_steps)
     tolerance = args.tol
     cfg = _optimizer_config(args)
+    # One build per (configuration, family, p), shared by its capacity types.
+    build = functools.cache(build_fixed)
     report_rows = []
     worst_overall = 0.0
     all_within = True
@@ -278,9 +287,8 @@ def cmd_validate(args) -> int:
         worst_p = grid[0]
         for p in grid:
             reference = closed_form(form_id, p)
-            res = _capacity(
-                form_id.capacity_type, form_id.configuration, form_id.family, p, None, cfg
-            )
+            fixed = build(form_id.configuration, form_id.family, p)
+            res = _capacity(form_id.capacity_type, fixed, cfg)
             dev = abs(res.value - reference)
             if dev > worst_dev:
                 worst_dev, worst_p = dev, p

@@ -90,24 +90,25 @@ def build_supermap(
 
     The composition tree of ``kind`` is folded with ``switch`` and
     ``coherent_superposition``. Each superposition vacuum-extends its two
-    channels with ``outer_amps`` if both are superpositions (the outer
-    level of ``COH_OF_COH``, indexed by the inner composite Kraus indices),
-    and with ``amps`` otherwise (so for ``COH_OF_SWITCH`` it is the outer
-    vector over the inner switch Kraus indices). ``None`` selects the
-    concentrated default ``(1, 0, ..., 0)``. A vector no superposition of
-    ``kind`` reads is rejected before anything is composed.
+    channels with one vector: ``outer_amps`` if another superposition lies
+    below it (the outer level of ``COH_OF_COH``, indexed by the inner
+    composite Kraus indices), and ``amps`` otherwise (so for
+    ``COH_OF_SWITCH`` it is the outer vector over the inner switch Kraus
+    indices). ``None`` selects the concentrated default ``(1, 0, ..., 0)``.
+    A vector no superposition of ``kind`` reads is rejected before anything
+    is composed.
     """
     chans = family_channels(family, p, kind.n_channels)
-    # The amplitude vectors and the superpositions reading them, by ``outer`` flag.
-    vectors = {False: amps, True: outer_amps}
-    read = fold(kind, lambda index: set(), operator.or_, lambda a, b, outer: a | b | {outer})
-    if outer_amps is not None and True not in read:
+    # For each superposition, in fold order: is another superposition below it?
+    nested = fold(kind, lambda index: [], operator.add, lambda a, b: a + b + [bool(a or b)])
+    if outer_amps is not None and not any(nested):
         raise ValueError(f"outer_amps only applies to coc, not {kind.token}")
-    if amps is not None and False not in read:
+    if amps is not None and all(nested):
         raise ValueError(f"{kind.token} does not take vacuum amplitudes")
+    node_amps = iter([outer_amps if below else amps for below in nested])
 
-    def superpose(first: Channel, second: Channel, outer: bool) -> Channel:
-        vec = vectors[outer]
+    def superpose(first: Channel, second: Channel) -> Channel:
+        vec = next(node_amps)
         return coherent_superposition(
             *(
                 vacuum_extend(ch, concentrated_amplitudes(ch.n_kraus) if vec is None else vec)

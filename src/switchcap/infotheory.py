@@ -338,7 +338,7 @@ def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Capa
         )
         for x0 in [np.zeros(3), *seeded]
     ]
-    values = np.array([-res.fun for res in runs])
+    values = np.array([0.0 - res.fun for res in runs])
     best = int(np.argmax(values))
     if len(runs) >= 2:
         second, first = np.sort(values)[-2:]

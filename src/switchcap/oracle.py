@@ -332,6 +332,6 @@ def effective_flip_probability(kind: SupermapKind, family: Family, p: float) -> 
         kind,
         lambda index: [etas[index]],
         lambda left, right: [a * b for a, b in zip(left, right, strict=True) for _ in range(2)],
-        lambda left, right, outer: left + right,
+        lambda left, right: left + right,
     )
     return (1.0 - sum(branches) / len(branches)) / 2.0

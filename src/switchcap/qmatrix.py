@@ -110,27 +110,13 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> 
     if keep[0] < 0 or keep[-1] >= len(dims):
         raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
 
+    # Row axis i is labelled i and column axis n + i; a traced subsystem's
+    # column axis takes its row label, so einsum sums over the pair.
     n = len(dims)
-    reshaped = rho.reshape(dims + dims)
-    # Row axis i and column axis n + i share a letter when subsystem i is
-    # traced out; kept axes get distinct letters that survive to the output.
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row, col, out_row, out_col = [], [], [], []
-    pos = 0
-    for i in range(n):
-        if i in keep:
-            r, c = letters[pos], letters[pos + 1]
-            pos += 2
-            out_row.append(r)
-            out_col.append(c)
-        else:
-            r = c = letters[pos]
-            pos += 1
-        row.append(r)
-        col.append(c)
-    subscripts = "".join(row + col) + "->" + "".join(out_row + out_col)
+    cols = [n + i if i in keep else i for i in range(n)]
     kept_dim = int(np.prod([dims[i] for i in keep]))
-    return np.einsum(subscripts, reshaped).reshape(kept_dim, kept_dim)
+    reduced = np.einsum(rho.reshape(dims + dims), [*range(n), *cols], keep + [n + i for i in keep])
+    return reduced.reshape(kept_dim, kept_dim)
 
 
 def eig_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:

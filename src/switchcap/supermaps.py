@@ -70,7 +70,7 @@ class SupermapKind(Enum):
 
     @property
     def n_channels(self) -> int:
-        return fold(self, lambda index: 1, operator.add, lambda a, b, outer: a + b)
+        return fold(self, lambda index: 1, operator.add, operator.add)
 
 
 #: Composition tree of each configuration: nested ``(rule, first, second)``
@@ -89,25 +89,21 @@ def fold(
     kind: SupermapKind,
     leaf: Callable[[int], Any],
     switch_rule: Callable[[Any, Any], Any],
-    coh_rule: Callable[[Any, Any, bool], Any],
+    coh_rule: Callable[[Any, Any], Any],
 ):
     """Fold the composition tree of ``kind`` bottom-up.
 
     A leaf becomes ``leaf(index)``, a switch node ``switch_rule(first,
-    second)`` and a superposition node ``coh_rule(first, second, outer)``
-    of its folded children. ``outer`` says whether both children are
-    superpositions: that node is the outer level of a nested superposition,
-    whose vacuum amplitudes are ``outer_amps`` rather than ``amps``.
+    second)`` and a superposition node ``coh_rule(first, second)`` of its
+    folded children. Children fold before their parent, first before
+    second, so the rules are called in post-order.
     """
 
     def walk(node):
         if isinstance(node, int):
             return leaf(node)
         rule, first, second = node
-        if rule == "switch":
-            return switch_rule(walk(first), walk(second))
-        outer = all(isinstance(child, tuple) and child[0] == "coh" for child in (first, second))
-        return coh_rule(walk(first), walk(second), outer)
+        return (switch_rule if rule == "switch" else coh_rule)(walk(first), walk(second))
 
     return walk(_TREES[kind])
 

@@ -60,11 +60,6 @@ def stinespring_marginals(ch, rho):
     return partial_trace(joint, dims, keep=[1]), partial_trace(joint, dims, keep=[0])
 
 
-def ket(*amps):
-    v = np.asarray(amps, dtype=complex)
-    return v / np.linalg.norm(v)
-
-
 def uncompressed_fixed(ch):
     """Reference for ``fix_control`` at ``|+...+>``: every ``M_a (|+...+> (x) I)``.
 

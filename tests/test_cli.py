@@ -226,6 +226,40 @@ class TestValidate:
         assert main(["validate", "--p-steps", "0"]) == 1
 
 
+class TestOneBuildPerPoint:
+    """Every capacity at a point is solved on one build of its channel."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        calls = []
+
+        def counting(kind, family, p, *rest):
+            calls.append((kind, family, p))
+            return build_fixed(kind, family, p, *rest)
+
+        monkeypatch.setattr(cli, "build_fixed", counting)
+        return calls
+
+    def test_sweep_with_both_capacities(self, monkeypatch, tmp_path):
+        calls = self._count_builds(monkeypatch)
+        code = main(
+            [
+                "sweep", "--config", "switch", "--family", "bitflip", "--capacity", "both",
+                "--p-steps", "3", "--restarts", "2", "--out", str(tmp_path / "s.csv"),
+            ]
+        )
+        assert code == 0
+        assert calls == [(SupermapKind.SWITCH, Family.BIT_FLIP, p) for p in (0.0, 0.5, 1.0)]
+
+    def test_validate_shares_a_build_across_capacity_types(self, monkeypatch):
+        # switch/bitflip has both a classical and a quantum closed form.
+        calls = self._count_builds(monkeypatch)
+        main(["validate", "--p-steps", "2", "--restarts", "2"])
+        for p in (0.0, 1.0):
+            assert calls.count((SupermapKind.SWITCH, Family.BIT_FLIP, p)) == 1
+        assert len(calls) == len(set(calls))
+
+
 class TestVacuumSweep:
     def test_explicit_sets_and_schema(self, tmp_path):
         out = tmp_path / "vac.csv"

@@ -430,6 +430,15 @@ class TestQuantumCapacity:
         assert res.value >= 0.0
         assert res.value == max(res.raw_value, 0.0)
 
+    @pytest.mark.parametrize(
+        "kind,p", [(SupermapKind.COH_OF_SWITCH, 0.25), (SupermapKind.SWITCH, 1.0)]
+    )
+    def test_zero_optimum_is_positive_zero(self, kind, p):
+        # The best objective is exactly 0 here; the capacity must be +0.0.
+        res = quantum_capacity(build_fixed(kind, Family.DEPOLARIZING, p), FAST)
+        assert res.value == 0.0
+        assert not np.signbit(res.value)
+
     def test_dominates_maximally_mixed_input(self):
         for kind in ALL_KINDS:
             fixed = build_fixed(kind, Family.BIT_FLIP, 0.2)

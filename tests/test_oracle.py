@@ -231,12 +231,22 @@ class TestFlipProbabilityModel:
         kind = SupermapKind.COH_OF_COH
         monkeypatch.setitem(supermaps._TREES, kind, tree)
         assert kind.n_channels == 4
-        # No superposition here has two superposition children, so none
+        # A root superposition over a superposition reads ``outer_amps``,
+        # indexed by its children's n * n composite Kraus indices, and the
+        # inner one ``amps``; with no superposition below another, none
         # reads ``outer_amps``.
-        with pytest.raises(ValueError, match="outer_amps only applies to coc"):
-            build_supermap(kind, Family.BIT_FLIP, 0.3, outer_amps=[1, 0, 0, 0])
+        two_depths = tree[0] == "coh"
+        if not two_depths:
+            with pytest.raises(ValueError, match="outer_amps only applies to coc"):
+                build_supermap(kind, Family.BIT_FLIP, 0.3, outer_amps=[1, 0, 0, 0])
+        rng = np.random.default_rng(29)
         for family in (Family.BIT_FLIP, Family.MIXED_BLOCK, Family.DEPOLARIZING):
+            n = 4 if family is Family.DEPOLARIZING else 2
             for p in (0.1, 0.3, 0.7):
                 expected = effective_flip_probability(kind, family, p)
                 numeric = _flip_of_kraus_build(kind, family, p)
                 assert numeric == pytest.approx(expected, abs=1e-12), (family, p)
+                if two_depths:
+                    amps, outer = random_unit_vector(rng, n), random_unit_vector(rng, n * n)
+                    numeric = _flip_of_kraus_build(kind, family, p, amps, outer)
+                    assert numeric == pytest.approx(expected, abs=1e-12), (family, p)

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,13 @@ from switchcap.channels import (
 from switchcap.configs import Family, build_fixed, build_supermap, family_channels
 from switchcap.infotheory import coherent_information, exchange_entropy
 from switchcap.qmatrix import direct_sum, partial_trace, plus_state, projector
-from switchcap.supermaps import SupermapKind, coherent_superposition, fix_control, switch
+from switchcap.supermaps import (
+    SupermapKind,
+    coherent_superposition,
+    fix_control,
+    fold,
+    switch,
+)
 
 KET0 = projector(np.array([1, 0], dtype=complex))
 KET1 = projector(np.array([0, 1], dtype=complex))
@@ -219,6 +227,20 @@ class TestBuildWork:
         bit, bit_again, phase, phase_again = family_channels(Family.MIXED_BLOCK, 0.3, 4)
         assert bit is bit_again and phase is phase_again
         assert bit.label == "bitflip(p=0.3)" and phase.label == "phaseflip(p=0.3)"
+
+
+class TestFold:
+    def test_superpositions_are_reached_in_post_order(self):
+        # Children fold before their parent, first before second: the order
+        # in which ``build_supermap`` hands out one amplitude vector per node.
+        visited = []
+
+        def coh_rule(first, second):
+            visited.append((first, second))
+            return first + second
+
+        assert fold(SupermapKind.COH_OF_COH, str, operator.add, coh_rule) == "0123"
+        assert visited == [("0", "1"), ("2", "3"), ("01", "23")]
 
 
 class TestAmplitudeRejection:
