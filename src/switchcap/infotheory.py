@@ -15,27 +15,29 @@ fixed (see :func:`switchcap.supermaps.fix_control`):
   control and path factors is kept; this is what makes the result
   sensitive to the choice of vacuum amplitudes on superposed paths.
 
-The classical capacity is one bounded scalar solve of a concave function,
-and needs a qubit target output factor. The target marginals of the two
-basis inputs are built and checked once per call; each evaluation is the
-closed-form entropy of their 2 x 2 mixture, computed on floats.
+The classical capacity is one bounded Brent solve (golden section with
+parabolic steps) of a concave function, and needs a qubit target output
+factor. The target marginals of the two basis inputs are built and checked
+once per call; each evaluation is the closed-form entropy of their 2 x 2
+mixture, computed on floats.
 
-Coherent information is not concave, so ``quantum_capacity`` runs its own
-multistart BFGS over the Bloch ball: a canonical start (maximally mixed
-state) plus seeded random restarts, deterministic for a fixed seed. Output
-and environment states are affine in the Bloch vector, so one evaluation
-is two Hermitian eigendecompositions, which give the value and its exact
-gradient.
+Coherent information is not concave, so ``quantum_capacity`` runs a
+multistart BFGS with a backtracking line search over the Bloch ball: a
+canonical start (maximally mixed state) plus seeded random restarts,
+deterministic for a fixed seed. Output and environment states are affine in
+the Bloch vector, so one evaluation is two Hermitian eigendecompositions,
+which give the value and its exact gradient. Both solvers are short loops in
+this module, on floats and numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .channels import Channel, apply, complementary_output
 from .qmatrix import (
@@ -62,16 +64,29 @@ __all__ = [
     "quantum_capacity",
 ]
 
-_KET0 = np.diag([1.0, 0.0]).astype(complex)
-_KET1 = np.diag([0.0, 1.0]).astype(complex)
 #: Absolute tolerance on the signaling weight in the classical solve.
 _WEIGHT_XATOL = 1e-12
-#: Gradient norm at which a quantum-capacity BFGS run stops.
+#: Max-abs gradient at which a quantum-capacity BFGS run stops.
 _GRADIENT_TOL = 1e-8
 #: Eigenvalues at or below this drop out of the entropy and its gradient.
 _SPECTRUM_FLOOR = 1e-15
 #: ``sigma_mu / 2`` for ``mu = 0..3``: a qubit state is ``[0] + r . [1:]``.
 _PAULI_HALVES = np.stack([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]) / 2
+
+
+def _pure_state(rho) -> np.ndarray:
+    """``rho`` checked as a pure density matrix, as a read-only copy."""
+    rho = assert_density_matrix(rho)
+    purity = float(np.trace(rho @ rho).real)
+    if abs(purity - 1.0) > 1e-9:
+        raise ValueError(f"ensemble state has purity {purity}, expected pure")
+    frozen = rho.copy()
+    frozen.setflags(write=False)
+    return frozen
+
+
+#: ``|0><0|`` and ``|1><1|``, checked once for every computational ensemble.
+_BASIS = (_pure_state(np.diag([1.0, 0.0])), _pure_state(np.diag([0.0, 1.0])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,19 +101,15 @@ class Ensemble:
     entries: tuple
 
     def __post_init__(self):
-        pairs = []
-        total = 0.0
-        for prob, rho in self.entries:
+        self._freeze(self.entries, _pure_state)
+
+    def _freeze(self, entries, check_state) -> None:
+        pairs, total = [], 0.0
+        for prob, rho in entries:
             prob = float(prob)
             if prob < -1e-12:
                 raise ValueError(f"negative ensemble probability {prob}")
-            rho = assert_density_matrix(rho)
-            purity = float(np.trace(rho @ rho).real)
-            if abs(purity - 1.0) > 1e-9:
-                raise ValueError(f"ensemble state has purity {purity}, expected pure")
-            frozen = rho.copy()
-            frozen.setflags(write=False)
-            pairs.append((max(prob, 0.0), frozen))
+            pairs.append((max(prob, 0.0), check_state(rho)))
             total += prob
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"ensemble probabilities sum to {total}, expected 1")
@@ -106,17 +117,19 @@ class Ensemble:
 
     @staticmethod
     def computational(weight: float = 0.5) -> "Ensemble":
-        """Two-state qubit ensemble ``{(w, |0>), (1-w, |1>)}``."""
-        return Ensemble(((weight, _KET0), (1.0 - weight, _KET1)))
+        """Two-state qubit ensemble ``{(w, |0>), (1-w, |1>)}``; only ``w`` is checked."""
+        ens = object.__new__(Ensemble)
+        ens._freeze(zip((weight, 1.0 - weight), _BASIS), lambda rho: rho)
+        return ens
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Settings for the capacity maximizations.
 
-    ``max_iterations`` caps each solver run of both capacities (bounded
-    scalar iterations, or BFGS iterations); the rest reach only the quantum
-    one. ``restarts`` counts total BFGS runs (the canonical start plus
+    ``max_iterations`` caps each solver run of both capacities (objective
+    evaluations of the bounded Brent solve, or BFGS iterations); the rest
+    reach only the quantum one. ``restarts`` counts total BFGS runs (the canonical start plus
     ``restarts - 1`` seeded random ones).
     ``tolerance`` is the absolute agreement, in bits, required between
     the two best restarts for the run to be flagged converged.
@@ -231,6 +244,58 @@ def _holevo_objective(ch: Channel):
     return negative_holevo
 
 
+#: Where one solver run stopped: point, value, evaluations, iterations, success.
+_Run = namedtuple("_Run", "x fun nfev nit success")
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _bounded_brent(f, a: float, b: float, xatol: float, maxfun: int) -> _Run:
+    """Minimize a scalar function on ``[a, b]`` by Brent's bounded method.
+
+    The steps and stopping rule of scipy's ``minimize_scalar(method="bounded")``,
+    on floats: a parabola through the three best points when it lands inside the
+    bracket and shrinks the step, else a golden-section step, never closer than
+    ``tol1`` to a known point. Fails when ``maxfun`` evaluations run out first.
+    """
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    n, d, e = 1, 0.0, 0.0
+    while True:
+        xm, tol1 = 0.5 * (a + b), math.sqrt(2.2e-16) * abs(x) + xatol / 3.0
+        if n > 1 and n >= maxfun:
+            return _Run(x, fx, n, n, False)
+        if abs(x - xm) <= 2.0 * tol1 - 0.5 * (b - a):
+            return _Run(x, fx, n, n, True)
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden, d = False, p / q
+                u = x + d
+                if u - a < 2.0 * tol1 or b - u < 2.0 * tol1:
+                    d = tol1 if xm >= x else -tol1
+        if golden:
+            e = a - x if x >= xm else b - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else (tol1 if d >= 0.0 else -tol1))
+        fu = f(u)
+        n += 1
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def classical_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> CapacityResult:
     """One-shot classical capacity over computational-basis signaling.
 
@@ -246,12 +311,7 @@ def classical_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Ca
         raise ValueError("classical capacity requires a qubit input space")
     if ch.output_dims[-1] != 2:
         raise ValueError("classical capacity requires a qubit target output factor")
-    res = minimize_scalar(
-        _holevo_objective(ch),
-        bounds=(0.0, 1.0),
-        method="bounded",
-        options={"maxiter": cfg.max_iterations, "xatol": _WEIGHT_XATOL},
-    )
+    res = _bounded_brent(_holevo_objective(ch), 0.0, 1.0, _WEIGHT_XATOL, cfg.max_iterations)
     # ``0.0 - fun``, not ``-fun``: a zero optimum must stay +0 so CSVs print "0".
     raw = 0.0 - float(res.fun)
     return CapacityResult(
@@ -301,6 +361,38 @@ def _objective(ch: Channel):
     return negative_coherent_information
 
 
+def _bfgs(fun, x: np.ndarray, gtol: float, maxiter: int) -> _Run:
+    """Minimize ``fun`` (value and gradient) from ``x`` by BFGS.
+
+    Each line search starts at scipy's BFGS trial step, ``min(1, 2.02 (f - f_prev)
+    / slope)``, and halves it until the Armijo condition holds; a step shorter
+    than ``1e-6`` of the trial fails the run. The inverse Hessian takes the
+    BFGS update whenever the curvature ``y . s`` is positive. Succeeds when the
+    max-abs gradient reaches ``gtol`` within ``maxiter`` iterations.
+    """
+    f, g = fun(x)
+    nfev, nit = 1, 0
+    f_prev, h = f + float(np.linalg.norm(g)) / 2, np.eye(len(x))
+    while np.abs(g).max() > gtol and nit < maxiter:
+        p = -h @ g
+        slope = float(g @ p)
+        trial = step = min(1.0, 2.02 * (f - f_prev) / slope)
+        while step > 1e-6 * trial:
+            f_new, g_new = fun(x + step * p)
+            nfev += 1
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step /= 2
+        else:
+            return _Run(x, f, nfev, nit, False)
+        s, y = step * p, g_new - g
+        x, f_prev, f, g, nit = x + s, f, f_new, g_new, nit + 1
+        if s @ y > 0:
+            a = np.eye(len(x)) - np.outer(s, y) / (s @ y)
+            h = a @ h @ a.T + np.outer(s, s) / (s @ y)
+    return _Run(x, f, nfev, nit, nit < maxiter)
+
+
 def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> CapacityResult:
     """One-shot quantum capacity: maximum coherent information.
 
@@ -328,16 +420,8 @@ def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Capa
     directions = rng.normal(size=(cfg.restarts - 1, 3))
     radii = rng.uniform(size=(cfg.restarts - 1, 1)) ** (1 / 3)
     seeded = radii * directions / np.linalg.norm(directions, axis=1, keepdims=True)
-    runs = [
-        minimize(
-            objective,
-            x0,
-            jac=True,
-            method="BFGS",
-            options={"maxiter": cfg.max_iterations, "gtol": _GRADIENT_TOL},
-        )
-        for x0 in [np.zeros(3), *seeded]
-    ]
+    starts = [np.zeros(3), *seeded]
+    runs = [_bfgs(objective, x0, _GRADIENT_TOL, cfg.max_iterations) for x0 in starts]
     values = np.array([0.0 - res.fun for res in runs])
     best = int(np.argmax(values))
     if len(runs) >= 2:

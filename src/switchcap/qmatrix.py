@@ -30,7 +30,6 @@ __all__ = [
     "entropy_of_spectrum",
     "is_density_matrix",
     "assert_density_matrix",
-    "ket",
     "projector",
     "plus_state",
 ]
@@ -184,15 +183,6 @@ def assert_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> np.nda
     if eigs.min() < -tol:
         raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
     return rho
-
-
-def ket(*amplitudes) -> np.ndarray:
-    """Normalized column vector from a sequence of amplitudes."""
-    v = np.asarray(amplitudes, dtype=complex).ravel()
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("zero vector cannot be normalized")
-    return v / norm
 
 
 def projector(vec: np.ndarray) -> np.ndarray:

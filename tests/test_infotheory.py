@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
-from scipy.optimize import minimize as scipy_minimize
 
 from _helpers import (
     channel_pairs_and_states,
@@ -141,8 +140,25 @@ class TestEnsemble:
         counted = lambda a: calls.append(1) or coerce(a)  # noqa: E731
         monkeypatch.setattr(qmatrix, "as_complex_matrix", counted)
         monkeypatch.setattr(infotheory, "as_complex_matrix", counted, raising=False)
-        Ensemble.computational(0.3)
+        Ensemble(((0.3, KET0), (0.7, KET1)))
         assert len(calls) == 2
+
+    def test_computational_checks_only_the_weight(self, monkeypatch):
+        # The basis projectors are checked once, at import.
+        calls = []
+        coerce = qmatrix.as_complex_matrix
+        counted = lambda a: calls.append(1) or coerce(a)  # noqa: E731
+        monkeypatch.setattr(qmatrix, "as_complex_matrix", counted)
+        ens = Ensemble.computational(0.3)
+        assert calls == []
+        reference = Ensemble(((0.3, KET0), (0.7, KET1)))
+        for (p, rho), (q, sigma) in zip(ens.entries, reference.entries, strict=True):
+            assert p == q
+            assert np.array_equal(rho, sigma)
+            assert not rho.flags.writeable
+        for weight, bad in [(-0.5, -0.5), (1.5, 1.0 - 1.5)]:
+            with pytest.raises(ValueError, match=f"negative ensemble probability {bad}"):
+                Ensemble.computational(weight)
 
 
 class TestOptimizerConfig:
@@ -489,11 +505,13 @@ class TestOptimizerBehaviour:
         # the runs' own success.
         runs = []
 
-        def recording_minimize(*args, **kwargs):
-            runs.append(scipy_minimize(*args, **kwargs))
+        bfgs = infotheory._bfgs
+
+        def recording_bfgs(*args, **kwargs):
+            runs.append(bfgs(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(infotheory, "minimize", recording_minimize)
+        monkeypatch.setattr(infotheory, "_bfgs", recording_bfgs)
         # The origin is not stationary here, so a single run is judged by
         # the solver alone (see test_stationary_start_is_not_a_converged_run).
         fixed = drawn_amplitude_channel()
@@ -561,6 +579,59 @@ class TestOptimizerBehaviour:
         res = classical_capacity(identity_channel(), FAST)
         assert isinstance(res, CapacityResult)
         assert res.evaluations > 0
+
+
+class TestSolvers:
+    @pytest.mark.parametrize("centre,expected", [(0.3, 0.3), (-0.5, 0.0), (1.7, 1.0)])
+    def test_brent_on_bounded_quadratic(self, centre, expected):
+        # Minimum inside the interval, or on either bound.
+        res = infotheory._bounded_brent(lambda x: (x - centre) ** 2, 0.0, 1.0, 1e-10, 500)
+        assert res.success
+        assert res.x == pytest.approx(expected, abs=1e-7)
+        assert res.fun == pytest.approx((expected - centre) ** 2, abs=1e-7)
+        assert res.nfev == res.nit < 500
+
+    def test_brent_fails_when_evaluations_run_out(self):
+        res = infotheory._bounded_brent(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-10, 3)
+        assert not res.success
+        assert res.nfev == 3
+
+    @staticmethod
+    def _quadratic(seed=3):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(3, 3))
+        a, b = m @ m.T + np.eye(3), rng.normal(size=3)
+        return (lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)), np.linalg.solve(a, b)
+
+    def test_bfgs_reaches_gtol_on_convex_quadratic(self):
+        fun, minimum = self._quadratic()
+        res = infotheory._bfgs(fun, np.zeros(3), 1e-8, 400)
+        assert res.success
+        assert 0 < res.nit < res.nfev <= 20
+        assert np.abs(fun(res.x)[1]).max() <= 1e-8
+        assert_allclose(res.x, minimum, atol=1e-8)
+
+    def test_bfgs_stationary_start_takes_no_iteration(self):
+        fun, minimum = self._quadratic()
+        res = infotheory._bfgs(fun, minimum, 1e-8, 400)
+        assert (res.nit, res.nfev, res.success) == (0, 1, True)
+        assert np.array_equal(res.x, minimum)
+
+    def test_bfgs_fails_when_iterations_run_out(self):
+        # Rosenbrock's function in three variables: no single step reaches gtol.
+        def rosenbrock(x):
+            inner = x[1:] - x[:-1] ** 2
+            grad = np.zeros(3)
+            grad[:-1] = -400 * x[:-1] * inner - 2 * (1 - x[:-1])
+            grad[1:] += 200 * inner
+            return float(np.sum(100 * inner**2 + (1 - x[:-1]) ** 2)), grad
+
+        res = infotheory._bfgs(rosenbrock, np.zeros(3), 1e-8, 1)
+        assert (res.nit, res.success) == (1, False)
+        assert res.fun < rosenbrock(np.zeros(3))[0]
+        res = infotheory._bfgs(rosenbrock, np.zeros(3), 1e-8, 400)
+        assert res.success
+        assert_allclose(res.x, np.ones(3), atol=1e-6)
 
 
 class TestBlochObjective:

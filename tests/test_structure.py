@@ -1,6 +1,9 @@
 """Module boundaries of the package, checked on its source with ``ast``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import switchcap
@@ -53,3 +56,33 @@ def test_check_sees_private_imports(tmp_path):
     )
     names = [name for _, name in _sibling_private_imports(source)]
     assert names == ["_input_state", "_LEAF_MODELS", "_private_module", "_private_module"]
+
+
+def _imported_modules(*args) -> set:
+    """Every module ``python -X importtime *args`` imports, read from its stderr."""
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
+
+
+def test_no_capacity_run_imports_scipy():
+    # Both solvers are numpy-only; a stray or a lazy scipy import would show here.
+    library = _imported_modules(
+        "-c",
+        "import sys\n"
+        "from switchcap import Family, SupermapKind, build_fixed, classical_capacity,"
+        " quantum_capacity\n"
+        "fixed = build_fixed(SupermapKind.COH_OF_COH, Family.DEPOLARIZING, 0.3)\n"
+        "assert classical_capacity(fixed).converged and quantum_capacity(fixed).converged\n"
+        "assert 'scipy' not in sys.modules\n",
+    )
+    cli = _imported_modules("-m", "switchcap.cli", "vacuum-sweep", "--p-steps", "1")
+    for imported in (library, cli):
+        assert {"numpy", "switchcap.infotheory"} <= imported
+        assert not {name for name in imported if name.split(".")[0] == "scipy"}
