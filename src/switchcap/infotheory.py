@@ -105,6 +105,7 @@ class Ensemble:
         self._freeze(self.entries, _pure_state)
 
     def _freeze(self, entries, check_state) -> None:
+        """Check each probability, pass each state through ``check_state``, store both."""
         pairs, total = [], 0.0
         for prob, rho in entries:
             prob = float(prob)
@@ -130,8 +131,8 @@ class OptimizerConfig:
 
     ``max_iterations`` caps each solver run of both capacities (objective
     evaluations of the bounded Brent solve, or BFGS iterations); the rest
-    reach only the quantum one. ``restarts`` counts total BFGS runs (the canonical start plus
-    ``restarts - 1`` seeded random ones).
+    reach only the quantum one. ``restarts`` counts total BFGS runs (the
+    canonical start plus ``restarts - 1`` seeded random ones).
     ``tolerance`` is the absolute agreement, in bits, required between
     the two best restarts for the run to be flagged converged.
     """
@@ -388,9 +389,9 @@ def _bfgs(fun, x: np.ndarray, gtol: float, maxiter: int) -> _Run:
             return _Run(x, f, nfev, nit, False)
         s, y = step * p, g_new - g
         x, f_prev, f, g, nit = x + s, f, f_new, g_new, nit + 1
-        if s @ y > 0:
-            a = np.eye(len(x)) - np.outer(s, y) / (s @ y)
-            h = a @ h @ a.T + np.outer(s, s) / (s @ y)
+        if (sy := s @ y) > 0:
+            a = np.eye(len(x)) - np.outer(s, y) / sy
+            h = a @ h @ a.T + np.outer(s, s) / sy
     return _Run(x, f, nfev, nit, nit < maxiter)
 
 

@@ -1,4 +1,4 @@
-"""Module boundaries of the package, checked on its source with ``ast``."""
+"""Module boundaries of the package: its source checked with ``ast``, its imports in fresh processes."""
 
 import ast
 import os
