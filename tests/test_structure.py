@@ -1,4 +1,4 @@
-"""Module boundaries of the package: its source checked with ``ast``, its imports in fresh processes."""
+"""Module boundaries of the package: its source read with ``ast``, its imports run."""
 
 import ast
 import os
