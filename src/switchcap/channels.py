@@ -236,7 +236,7 @@ def normalized_amplitudes(amps: Sequence[complex], n_kraus: Optional[int] = None
             f"expected {n_kraus} vacuum amplitudes (one per Kraus operator), got {arr.size}"
         )
     norm = float(np.sum(np.abs(arr) ** 2))
-    if abs(norm - 1.0) > AMPLITUDE_TOL:
+    if not abs(norm - 1.0) <= AMPLITUDE_TOL:
         raise ValueError(f"vacuum amplitudes have squared norm {norm}, expected 1")
     arr.setflags(write=False)
     return arr

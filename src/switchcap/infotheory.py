@@ -15,10 +15,10 @@ fixed (see :func:`switchcap.supermaps.fix_control`):
   control and path factors is kept; this is what makes the result
   sensitive to the choice of vacuum amplitudes on superposed paths.
 
-The classical capacity is one bounded Brent solve (golden section with
-parabolic steps) of a concave function, and needs a qubit target output
+The classical capacity maximizes a concave function of one weight by
+bisection on the sign of its exact slope, and needs a qubit target output
 factor. The target marginals of the two basis inputs are built and checked
-once per call; each evaluation is the closed-form entropy of their 2 x 2
+once per call; value and slope are closed-form 2 x 2 arithmetic on their
 mixture, computed on floats.
 
 Coherent information is not concave, so ``quantum_capacity`` runs a
@@ -64,10 +64,8 @@ __all__ = [
     "quantum_capacity",
 ]
 
-#: Absolute tolerance on the signaling weight in the classical solve. Chi is flat
-#: to second order at its maximum, so finer weights change it by < 1e-15 bits.
-_WEIGHT_XATOL = 1e-8
-#: Max-abs gradient at which a quantum-capacity BFGS run stops.
+#: Max-abs gradient at which a solver run stops: chi' for the classical
+#: capacity, the gradient of I_c for the quantum one.
 _GRADIENT_TOL = 1e-8
 #: Eigenvalues at or below this drop out of the entropy and its gradient.
 _SPECTRUM_FLOOR = 1e-15
@@ -109,11 +107,11 @@ class Ensemble:
         pairs, total = [], 0.0
         for prob, rho in entries:
             prob = float(prob)
-            if prob < -1e-12:
+            if not -1e-12 <= prob:
                 raise ValueError(f"negative ensemble probability {prob}")
             pairs.append((max(prob, 0.0), check_state(rho)))
             total += prob
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"ensemble probabilities sum to {total}, expected 1")
         object.__setattr__(self, "entries", tuple(pairs))
 
@@ -129,8 +127,8 @@ class Ensemble:
 class OptimizerConfig:
     """Settings for the capacity maximizations.
 
-    ``max_iterations`` caps each solver run of both capacities (objective
-    evaluations of the bounded Brent solve, or BFGS iterations); the rest
+    ``max_iterations`` caps each solver run of both capacities (slope
+    evaluations of the classical bisection, or BFGS iterations); the rest
     reach only the quantum one. ``restarts`` counts total BFGS runs (the
     canonical start plus ``restarts - 1`` seeded random ones).
     ``tolerance`` is the absolute agreement, in bits, required between
@@ -208,15 +206,18 @@ def target_marginal(ch: Channel, rho: np.ndarray) -> np.ndarray:
 
 
 def _holevo_objective(ch: Channel):
-    """``w -> -chi(w)`` for the prior ``{(w, |0>), (1-w, |1>)}`` on the target marginal.
+    """``w -> chi(w)`` and ``w -> chi'(w)`` for the prior ``{(w, |0>), (1-w, |1>)}``.
 
-    The target marginals ``m0`` and ``m1`` of the two basis inputs come from
-    one contraction over the Kraus operators and pass the checks of
+    chi is the Holevo information on the target marginal, which must be a
+    qubit. The marginals ``m0`` and ``m1`` of the two basis inputs come from one
+    contraction over the Kraus operators and pass the checks of
     :func:`von_neumann_entropy` (finite, Hermitian, spectrum above
-    ``EIGENVALUE_FLOOR``), which also gives their entropies. Each evaluation
-    is then closed-form arithmetic on floats: the eigenvalues of the 2 x 2
-    average ``w m0 + (1-w) m1`` are ``trace/2 +- hypot(...)``. The target
-    output factor must be a qubit.
+    ``EIGENVALUE_FLOOR``), which also gives their entropies ``s0`` and ``s1``.
+    Each evaluation is then closed-form arithmetic on floats: ``M(w) = w m0 +
+    (1-w) m1`` has eigenvalues ``l+- = trace/2 +- R``, ``R`` the length of its
+    half Bloch vector ``u``, so ``chi'(w) = s1 - s0 - (u . du / R) log2(l+ / l-)``
+    with ``du = u(1) - u(0)``, or ``s1 - s0`` where ``u . du = 0`` or ``l- <= 0``
+    (``m0 = m1`` pure, where chi vanishes).
     """
     cols = ch.stacked.reshape(ch.n_kraus, -1, 2, 2)
     m0, m1 = np.einsum("arti,arui->itu", cols, cols.conj())
@@ -228,12 +229,17 @@ def _holevo_objective(ch: Channel):
     # floor check, on two floats.
     a0, d0, b0 = float(m0[0, 0].real), float(m0[1, 1].real), complex(m0[1, 0])
     a1, d1, b1 = float(m1[0, 0].real), float(m1[1, 1].real), complex(m1[1, 0])
+    du = (0.5 * ((a0 - d0) - (a1 - d1)), (b0 - b1).real, (b0 - b1).imag)
 
-    def negative_holevo(w: float) -> float:
+    def mixture(w: float) -> tuple:
+        """Half trace, half Bloch vector and its length ``R`` for ``M(w)``."""
         v = 1.0 - w
         a, d, b = w * a0 + v * a1, w * d0 + v * d1, w * b0 + v * b1
-        half = 0.5 * (a + d)
-        radius = math.hypot(0.5 * (a - d), b.real, b.imag)
+        u = (0.5 * (a - d), b.real, b.imag)
+        return 0.5 * (a + d), u, math.hypot(*u)
+
+    def holevo(w: float) -> float:
+        half, _, radius = mixture(w)
         entropy = 0.0
         for eig in (half - radius, half + radius):
             if eig < EIGENVALUE_FLOOR:
@@ -241,87 +247,66 @@ def _holevo_objective(ch: Channel):
             eig = min(eig, 1.0)
             if eig > 0.0:
                 entropy -= eig * math.log2(eig)
-        return w * s0 + v * s1 - entropy
+        return entropy - (w * s0 + (1.0 - w) * s1)
 
-    return negative_holevo
+    def slope(w: float) -> float:
+        half, u, radius = mixture(w)
+        dot = u[0] * du[0] + u[1] * du[1] + u[2] * du[2]
+        if dot == 0.0 or half - radius <= 0.0:
+            return s1 - s0
+        return s1 - s0 - dot / radius * math.log2((half + radius) / (half - radius))
+
+    return holevo, slope
 
 
 #: Where one solver run stopped: point, value, evaluations, iterations, success.
 _Run = namedtuple("_Run", "x fun nfev nit success")
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
-def _bounded_brent(f, a: float, b: float, xatol: float, maxfun: int) -> _Run:
-    """Minimize a scalar function on ``[a, b]`` by Brent's bounded method.
+def _bisect(fun, slope, gtol: float, maxiter: int) -> _Run:
+    """Maximize a concave ``fun`` on ``[0, 1]`` by bisection on the sign of ``slope``.
 
-    The steps and stopping rule of scipy's ``minimize_scalar(method="bounded")``,
-    on floats: a parabola through the three best points when it lands inside the
-    bracket and shrinks the step, else a golden-section step, never closer than
-    ``tol1`` to a known point. Fails when ``maxfun`` evaluations run out first.
+    Succeeds at the first midpoint where ``|slope| <= gtol``, which by concavity
+    puts ``fun`` within ``gtol`` of its maximum; fails when ``maxiter`` slope
+    evaluations run out first. ``nit`` counts slope evaluations, and ``nfev``
+    adds the one evaluation of ``fun``, at the returned point.
     """
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    n, d, e = 1, 0.0, 0.0
-    while True:
-        xm, tol1 = 0.5 * (a + b), math.sqrt(2.2e-16) * abs(x) + xatol / 3.0
-        if n > 1 and n >= maxfun:
-            return _Run(x, fx, n, n, False)
-        if abs(x - xm) <= 2.0 * tol1 - 0.5 * (b - a):
-            return _Run(x, fx, n, n, True)
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            p, q = (-p if q > 0.0 else p), abs(q)
-            r, e = e, d
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                golden, d = False, p / q
-                u = x + d
-                if u - a < 2.0 * tol1 or b - u < 2.0 * tol1:
-                    d = tol1 if xm >= x else -tol1
-        if golden:
-            e = a - x if x >= xm else b - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol1 else (tol1 if d >= 0.0 else -tol1))
-        fu = f(u)
-        n += 1
-        if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+    lo, hi = 0.0, 1.0
+    for nit in range(1, maxiter + 1):
+        x = 0.5 * (lo + hi)
+        grad = slope(x)
+        if abs(grad) <= gtol:
+            break
+        lo, hi = (x, hi) if grad > 0.0 else (lo, x)
+    return _Run(x, fun(x), nit + 1, nit, abs(grad) <= gtol)
 
 
 def classical_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> CapacityResult:
     """One-shot classical capacity over computational-basis signaling.
 
-    Maximizes the Holevo information of ``{(w, |0>), (1-w, |1>)}`` on the
-    target marginal over ``w`` by one bounded scalar solve; the quantity is
-    concave in ``w``, so ``converged`` (the solver's success) certifies the
-    maximum. The input space and the target (last) output factor must be
-    qubits. The two target marginals are built and checked once, at entry;
-    each evaluation is the closed-form 2 x 2 entropy of their mixture.
+    Maximizes the Holevo information chi of ``{(w, |0>), (1-w, |1>)}`` on the
+    target marginal over ``w`` by bisection on the sign of its exact slope.
+    The input space and the target (last) output factor must be qubits. The
+    two target marginals are built and checked once, at entry; each
+    evaluation is closed-form 2 x 2 arithmetic on their mixture.
+
+    chi is concave, so ``converged`` is a certificate: the solve stopped at a
+    weight where ``|chi'| <= 1e-8``, so the value is within 1e-8 bits of the
+    maximum. ``evaluations`` counts slope evaluations (at most
+    ``cfg.max_iterations``) plus the one value evaluation.
     """
     cfg = cfg or OptimizerConfig()
     if ch.d_in != 2:
         raise ValueError("classical capacity requires a qubit input space")
     if ch.output_dims[-1] != 2:
         raise ValueError("classical capacity requires a qubit target output factor")
-    res = _bounded_brent(_holevo_objective(ch), 0.0, 1.0, _WEIGHT_XATOL, cfg.max_iterations)
-    # ``0.0 - fun``, not ``-fun``: a zero optimum must stay +0 so CSVs print "0".
-    raw = 0.0 - float(res.fun)
+    res = _bisect(*_holevo_objective(ch), _GRADIENT_TOL, cfg.max_iterations)
     return CapacityResult(
-        value=max(raw, 0.0),
-        argmax=Ensemble.computational(float(res.x)),
-        converged=bool(res.success),
-        evaluations=int(res.nfev),
-        raw_value=raw,
+        value=max(res.fun, 0.0),
+        argmax=Ensemble.computational(res.x),
+        converged=res.success,
+        evaluations=res.nfev,
+        raw_value=res.fun,
     )
 
 

@@ -245,6 +245,8 @@ class TestVacuumExtend:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
             vacuum_extend(bit_flip(0.3), (0.9, 0.1))
+        with pytest.raises(ValueError, match="vacuum amplitudes have squared norm nan"):
+            vacuum_extend(bit_flip(0.3), (float("nan"), 0.0))
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="amplitudes"):

@@ -86,15 +86,15 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
     def test_rounding_noise_prints_as_zero(self, tmp_path):
-        # The bit-flip switch carries no classical information at p = 1/2;
+        # The bit-flip switch carries no quantum information at p = 1/2;
         # the solver's optimum is zero up to rounding.
         fixed = build_fixed(SupermapKind.SWITCH, Family.BIT_FLIP, 0.5)
-        assert 0.0 < classical_capacity(fixed).value < CAPACITY_NOISE_BITS
+        assert 0.0 < quantum_capacity(fixed).value < CAPACITY_NOISE_BITS
         out = tmp_path / "noise.csv"
         code = main(
             [
                 "sweep", "--config", "switch", "--family", "bitflip",
-                "--capacity", "classical", "--p-start", "0.5", "--p-end", "0.5",
+                "--capacity", "quantum", "--p-start", "0.5", "--p-end", "0.5",
                 "--p-steps", "1", "--out", str(out),
             ]
         )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,9 +21,11 @@ from switchcap.channels import (
     Channel,
     apply,
     bit_flip,
+    concentrated_amplitudes,
     depolarizing,
     identity_channel,
     phase_flip,
+    vacuum_extend,
 )
 from switchcap.configs import Family, build_fixed, build_supermap
 from switchcap.infotheory import (
@@ -116,6 +120,20 @@ def amplitude_damping(g):
     return Channel(kraus, (2,), (2,), label=f"amplitude_damping({g:g})")
 
 
+def reset_to_zero(seed=None):
+    """The channel ``rho -> |0><0|``; with a ``seed``, its Kraus pair mixed by a drawn unitary.
+
+    Both target marginals are ``|0><0|``. Mixed operators make them differ by
+    rounding, which leaves ``u . du`` nonzero where ``M(1/2)`` has a zero eigenvalue.
+    """
+    kraus = np.array([[[1, 0], [0, 0]], [[0, 1], [0, 0]]], dtype=complex)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        unitary, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        kraus = np.tensordot(unitary, kraus, axes=1)
+    return Channel(kraus, (2,), (2,))
+
+
 class TestEnsemble:
     def test_computational_helper(self):
         ens = Ensemble.computational(0.25)
@@ -125,6 +143,12 @@ class TestEnsemble:
     def test_rejects_unnormalized_probabilities(self):
         with pytest.raises(ValueError, match="sum"):
             Ensemble(((0.6, KET0), (0.6, KET1)))
+
+    def test_rejects_nan_probabilities(self):
+        with pytest.raises(ValueError, match="negative ensemble probability nan"):
+            Ensemble.computational(float("nan"))
+        with pytest.raises(ValueError, match="negative ensemble probability nan"):
+            Ensemble(((float("nan"), KET0), (0.5, KET1)))
 
     def test_rejects_mixed_states(self):
         with pytest.raises(ValueError, match="pur"):
@@ -317,14 +341,20 @@ class TestClassicalCapacity:
         "make",
         [
             lambda: amplitude_damping(0.7),
-            lambda: build_fixed(SupermapKind.SWITCH, Family.DEPOLARIZING, 0.35),
-            lambda: build_fixed(SupermapKind.COH_OF_COH, Family.MIXED_BLOCK, 0.6),
+            lambda: fix_control(switch(amplitude_damping(0.3), amplitude_damping(0.6))),
+            lambda: fix_control(
+                coherent_superposition(
+                    vacuum_extend(amplitude_damping(0.3), concentrated_amplitudes(2)),
+                    vacuum_extend(amplitude_damping(0.6), concentrated_amplitudes(2)),
+                )
+            ),
         ],
-        ids=["amplitude_damping", "switch", "coc"],
+        ids=["amplitude_damping", "switch", "cohsup"],
     )
     def test_eigensolver_calls_do_not_grow_with_evaluations(self, make, monkeypatch):
-        # Two for the target marginals, two for the returned ensemble's states;
-        # the objective itself is closed-form arithmetic.
+        # Two for the target marginals; the objective and its slope are
+        # closed-form arithmetic, and the returned ensemble reuses the basis
+        # states checked at import.
         ch = make()
         calls = []
         for name in ("eigvalsh", "eigh"):
@@ -336,7 +366,7 @@ class TestClassicalCapacity:
             )
         res = classical_capacity(ch)
         assert res.evaluations > 4
-        assert len(calls) <= 4
+        assert len(calls) <= 2
 
     def test_dominates_uniform_signaling(self):
         for kind in ALL_KINDS:
@@ -356,9 +386,31 @@ class TestClassicalCapacity:
         assert abs(weight - 0.5) >= 0.03
 
     def test_converged_is_a_certificate(self):
-        fixed = build_fixed(SupermapKind.SWITCH, Family.DEPOLARIZING, 0.35)
-        assert not classical_capacity(fixed, OptimizerConfig(max_iterations=1)).converged
-        assert classical_capacity(fixed).converged
+        # chi is concave, so |chi'(w)| <= 1e-8 bounds the gap to the maximum.
+        ch = amplitude_damping(0.5)
+        assert not classical_capacity(ch, OptimizerConfig(max_iterations=1)).converged
+        res = classical_capacity(ch)
+        assert res.converged
+        _, slope = infotheory._holevo_objective(ch)
+        assert abs(slope(res.argmax.entries[0][0])) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "make,expected",
+        [
+            (reset_to_zero, 0.0),
+            (lambda: reset_to_zero(seed=0), 0.0),
+            (lambda: depolarizing(0.75), 0.0),
+            (lambda: bit_flip(0.0), 1.0),
+        ],
+        ids=["reset", "reset_mixed_kraus", "depolarizing_075", "bitflip_0"],
+    )
+    def test_degenerate_slopes_stay_finite(self, make, expected):
+        # u . du = 0 (m0 = m1, or M(1/2) maximally mixed) or lambda- <= 0
+        # (m0 = m1 pure up to rounding): the slope is s1 - s0, never NaN.
+        res = classical_capacity(make())
+        assert math.isfinite(res.raw_value)
+        assert res.value == pytest.approx(expected, abs=1e-12)
+        assert res.converged
 
     @settings(derandomize=True, deadline=None)
     @given(
@@ -392,11 +444,18 @@ class TestClosedFormObjective:
     WEIGHTS = np.linspace(0, 1, 11)
 
     def _check(self, ch):
-        objective = infotheory._holevo_objective(ch)
+        holevo, _ = infotheory._holevo_objective(ch)
         target = _target_channel(ch)
         for w in self.WEIGHTS:
             reference = holevo_information(target, Ensemble.computational(w))
-            assert -objective(w) == pytest.approx(reference, abs=1e-12)
+            assert holevo(w) == pytest.approx(reference, abs=1e-12)
+
+    @staticmethod
+    def _random_channel(parts, rest, n):
+        rows = n * rest * 2
+        isometry, _ = np.linalg.qr(parts[0, :rows] + 1j * parts[1, :rows])
+        dims = (2,) if rest == 1 else (rest, 2)
+        return Channel(isometry.reshape(n, rest * 2, 2), (2,), dims)
 
     @settings(derandomize=True, deadline=None)
     @given(
@@ -405,10 +464,20 @@ class TestClosedFormObjective:
         n=st.integers(1, 4),
     )
     def test_random_channels(self, parts, rest, n):
-        rows = n * rest * 2
-        isometry, _ = np.linalg.qr(parts[0, :rows] + 1j * parts[1, :rows])
-        dims = (2,) if rest == 1 else (rest, 2)
-        self._check(Channel(isometry.reshape(n, rest * 2, 2), (2,), dims))
+        self._check(self._random_channel(parts, rest, n))
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        parts=arrays(np.float64, (2, 24, 2), elements=st.floats(-1, 1)),
+        rest=st.sampled_from([1, 2, 3]),
+        n=st.integers(1, 4),
+        w=st.floats(0.05, 0.95),
+    )
+    def test_slope_matches_central_differences(self, parts, rest, n, w):
+        holevo, slope = infotheory._holevo_objective(self._random_channel(parts, rest, n))
+        h = 1e-6
+        central = (holevo(w + h) - holevo(w - h)) / (2 * h)
+        assert slope(w) == pytest.approx(central, abs=1e-6)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_pure_marginals_at_zero_noise(self, kind):
@@ -582,19 +651,31 @@ class TestOptimizerBehaviour:
 
 
 class TestSolvers:
-    @pytest.mark.parametrize("centre,expected", [(0.3, 0.3), (-0.5, 0.0), (1.7, 1.0)])
-    def test_brent_on_bounded_quadratic(self, centre, expected):
-        # Minimum inside the interval, or on either bound.
-        res = infotheory._bounded_brent(lambda x: (x - centre) ** 2, 0.0, 1.0, 1e-10, 500)
-        assert res.success
-        assert res.x == pytest.approx(expected, abs=1e-7)
-        assert res.fun == pytest.approx((expected - centre) ** 2, abs=1e-7)
-        assert res.nfev == res.nit < 500
+    @staticmethod
+    def _bisect(slope, maxiter=400):
+        # fun = -(x - 0.3)^2 / 2 has slope 0.3 - x; only the sign of slope steers.
+        return infotheory._bisect(lambda x: -((x - 0.3) ** 2) / 2, slope, 1e-8, maxiter)
 
-    def test_brent_fails_when_evaluations_run_out(self):
-        res = infotheory._bounded_brent(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-10, 3)
-        assert not res.success
-        assert res.nfev == 3
+    def test_bisection_finds_interior_zero(self):
+        res = self._bisect(lambda x: 0.3 - x)
+        assert res.success
+        assert abs(0.3 - res.x) <= 1e-8
+        assert res.fun == pytest.approx(0.0, abs=1e-16)
+        assert res.nfev == res.nit + 1 < 400
+
+    def test_bisection_zero_slope_stops_at_half(self):
+        res = self._bisect(lambda x: 0.0)
+        assert (res.x, res.nit, res.nfev, res.success) == (0.5, 1, 2, True)
+
+    def test_bisection_fails_when_evaluations_run_out(self):
+        res = self._bisect(lambda x: 0.3 - x, maxiter=1)
+        assert (res.x, res.nit, res.nfev, res.success) == (0.5, 1, 2, False)
+
+    def test_bisection_without_a_zero_fails(self):
+        # No zero in [0, 1]: the midpoints approach 0 until maxiter runs out.
+        res = self._bisect(lambda x: -1.0 - x, maxiter=60)
+        assert (res.nit, res.nfev, res.success) == (60, 61, False)
+        assert res.x < 1e-15
 
     @staticmethod
     def _quadratic(seed=3):

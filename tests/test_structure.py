@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import switchcap
@@ -56,6 +57,67 @@ def test_check_sees_private_imports(tmp_path):
     )
     names = [name for _, name in _sibling_private_imports(source)]
     assert names == ["_input_state", "_LEAF_MODELS", "_private_module", "_private_module"]
+
+
+def _unread_private_names(paths) -> list:
+    """``(file, name)`` of each module-level ``_name`` in ``paths`` that none of them reads.
+
+    A definition is a function, a class or an assigned name with one leading
+    underscore; a read is a loaded name or attribute outside that definition.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+    def loads(node) -> list:
+        return [
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+        ]
+
+    reads = Counter(name for tree in trees.values() for name in loads(tree))
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names, own = [node.name], Counter(loads(node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                own = Counter()
+            else:
+                continue
+            unread += [
+                (path.name, name)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+                and reads[name] == own[name]
+            ]
+    return unread
+
+
+def test_every_private_name_is_read():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 1
+    assert _unread_private_names(sources) == []
+
+
+def test_check_sees_unread_private_names(tmp_path):
+    # Unread: a constant, a class, a function that only calls itself.
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "_UNREAD = 1\n"
+        "_READ: int = 2\n"
+        "__dunder__ = _READ\n"
+        "class _Unused:\n    pass\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "def _helper():\n    return 0\n"
+        "def public():\n    return _helper() + probe._attribute\n"
+        "def _attribute():\n    pass\n",
+        encoding="utf-8",
+    )
+    assert _unread_private_names([source]) == [
+        ("probe.py", "_UNREAD"), ("probe.py", "_Unused"), ("probe.py", "_recursive")
+    ]
 
 
 def _imported_modules(*args) -> set:

@@ -254,6 +254,10 @@ class TestAmplitudeRejection:
         with pytest.raises(ValueError, match="outer_amps only applies to coc"):
             build_supermap(kind, Family.BIT_FLIP, 0.3, outer_amps=(1.0, 0.0, 0.0, 0.0))
 
+    def test_nan_amplitudes_rejected_by_the_norm_check(self):
+        with pytest.raises(ValueError, match="vacuum amplitudes have squared norm nan"):
+            build_supermap(SupermapKind.COHERENT_SUP, Family.BIT_FLIP, 0.3, [float("nan"), 0])
+
 
 class TestCompletenessGrid:
     @pytest.mark.parametrize("kind", ALL_KINDS)
