@@ -25,9 +25,9 @@ Coherent information is not concave, so ``quantum_capacity`` runs a
 multistart BFGS with a backtracking line search over the Bloch ball: a
 canonical start (maximally mixed state) plus seeded random restarts,
 deterministic for a fixed seed. Output and environment states are affine in
-the Bloch vector, so one evaluation is two Hermitian eigendecompositions,
-which give the value and its exact gradient. Both solvers are short loops in
-this module, on floats and numpy arrays.
+the Bloch vector, so their eigendecompositions give the value and its exact
+gradient. The restarts advance in lockstep, with one batched
+eigendecomposition per map per round. Both solvers are short loops here.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ _GRADIENT_TOL = 1e-8
 _SPECTRUM_FLOOR = 1e-15
 #: ``sigma_mu / 2`` for ``mu = 0..3``: a qubit state is ``[0] + r . [1:]``.
 _PAULI_HALVES = np.stack([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]) / 2
+#: Most runs :func:`_lockstep` advances together, which bounds the memory of one round.
+_BLOCK = 32
 
 
 def _pure_state(rho) -> np.ndarray:
@@ -130,9 +132,9 @@ class OptimizerConfig:
     ``max_iterations`` caps each solver run of both capacities (slope
     evaluations of the classical bisection, or BFGS iterations); the rest
     reach only the quantum one. ``restarts`` counts total BFGS runs (the
-    canonical start plus ``restarts - 1`` seeded random ones).
-    ``tolerance`` is the absolute agreement, in bits, required between
-    the two best restarts for the run to be flagged converged.
+    canonical start plus ``restarts - 1`` seeded ones), which advance in
+    lockstep. ``tolerance`` is the absolute agreement, in bits, required
+    between the two best restarts for the run to be flagged converged.
     """
 
     restarts: int = 6
@@ -311,53 +313,61 @@ def classical_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Ca
 
 
 def _entropy_and_gradient(maps: np.ndarray, r: np.ndarray) -> tuple:
-    """Entropy in bits of ``maps[0] + r . maps[1:]`` and its gradient in ``r``.
+    """Entropy in bits of ``maps[0] + r . maps[1:]`` and its gradient, per row ``r``.
 
-    The slopes ``maps[1:]`` are traceless, so ``dS/dr_i = -Tr(maps[i+1] log2 rho)``.
-    Eigenvalues at or below ``_SPECTRUM_FLOOR`` add nothing to either.
+    Only the eigendecomposition is stacked; each row is assembled and reduced
+    as if alone, as stacked products round differently. The slopes ``maps[1:]``
+    are traceless, so ``dS/dr_i = -Tr(maps[i+1] log2 rho)``. Eigenvalues at or
+    below ``_SPECTRUM_FLOOR`` add nothing to either.
     """
-    eigvals, eigvecs = np.linalg.eigh(maps[0] + np.tensordot(r, maps[1:], axes=1))
-    keep = eigvals > _SPECTRUM_FLOOR
-    weights, vecs = eigvals[keep], eigvecs[:, keep]
-    logs = np.log2(weights)
-    slopes = np.einsum("ik,nik->nk", vecs.conj(), maps[1:] @ vecs).real
-    return -float(weights @ logs), -(slopes @ logs)
+    flat = maps[1:].reshape(3, -1)
+    states = maps[0] + np.array([x @ flat for x in r]).reshape(-1, *maps.shape[1:])
+    values, grads = [], []
+    for eigvals, eigvecs in zip(*np.linalg.eigh(states)):
+        keep = eigvals > _SPECTRUM_FLOOR
+        weights, vecs = eigvals[keep], eigvecs[:, keep]
+        logs = np.log2(weights)
+        slopes = np.einsum("ik,nik->nk", vecs.conj(), maps[1:] @ vecs).real
+        values.append(-float(weights @ logs))
+        grads.append(-(slopes @ logs))
+    return np.array(values), np.array(grads)
 
 
 def _objective(ch: Channel):
-    """``x -> (-I_c, -grad I_c)`` at the Bloch vector ``r = x / max(1, |x|)``.
+    """``x -> (-I_c, -grad I_c)`` at the Bloch vector ``r = x / max(1, |x|)``, per row ``x``.
 
     The input ``(I + r . sigma) / 2`` has output ``out[0] + r . out[1:]`` and
     environment state ``env[0] + r . env[1:]``, from the images of
     ``sigma_mu / 2`` built once here. Outside the unit ball the gradient
     is chained through the projection onto the sphere.
     """
-    out = np.stack([apply(ch, half) for half in _PAULI_HALVES])
-    env = np.stack([complementary_output(ch, half) for half in _PAULI_HALVES])
+    ks, n = ch.stacked, ch.n_kraus
+    out = np.einsum("aij,mjk,alk->mil", ks, _PAULI_HALVES, ks.conj())
+    env = (ks @ _PAULI_HALVES[:, None]).reshape(4, n, -1) @ ks.conj().reshape(n, -1).T
 
-    def negative_coherent_information(x: np.ndarray) -> tuple:
-        norm = float(np.linalg.norm(x))
-        r = x / max(1.0, norm)
+    def negative_coherent_information(xs: np.ndarray) -> tuple:
+        norms = [float(np.linalg.norm(x)) for x in xs]
+        r = np.array([x / max(1.0, norm) for x, norm in zip(xs, norms)])
         s_out, g_out = _entropy_and_gradient(out, r)
         s_env, g_env = _entropy_and_gradient(env, r)
-        value, grad = s_env - s_out, g_env - g_out
-        if norm > 1.0:
-            grad = (grad - r * (r @ grad)) / norm
-        return value, grad
+        chained = zip(r, g_env - g_out, norms)
+        grads = [(g - x * (x @ g)) / norm if norm > 1.0 else g for x, g, norm in chained]
+        return s_env - s_out, np.array(grads)
 
     return negative_coherent_information
 
 
-def _bfgs(fun, x: np.ndarray, gtol: float, maxiter: int) -> _Run:
-    """Minimize ``fun`` (value and gradient) from ``x`` by BFGS.
+def _bfgs(x: np.ndarray, gtol: float, maxiter: int):
+    """Minimize from ``x`` by BFGS: yield each point, be sent its value and gradient.
 
-    Each line search starts at scipy's BFGS trial step, ``min(1, 2.02 (f - f_prev)
-    / slope)``, and halves it until the Armijo condition holds; a step shorter
+    The first point is ``x``, and the generator returns a ``_Run``. Each line
+    search starts at scipy's BFGS trial step, ``min(1, 2.02 (f - f_prev) /
+    slope)``, and halves it until the Armijo condition holds; a step shorter
     than ``1e-6`` of the trial fails the run. The inverse Hessian takes the
     BFGS update whenever the curvature ``y . s`` is positive. Succeeds when the
     max-abs gradient reaches ``gtol`` within ``maxiter`` iterations.
     """
-    f, g = fun(x)
+    f, g = yield x
     nfev, nit = 1, 0
     f_prev, h = f + float(np.linalg.norm(g)) / 2, np.eye(len(x))
     while np.abs(g).max() > gtol and nit < maxiter:
@@ -365,7 +375,7 @@ def _bfgs(fun, x: np.ndarray, gtol: float, maxiter: int) -> _Run:
         slope = float(g @ p)
         trial = step = min(1.0, 2.02 * (f - f_prev) / slope)
         while step > 1e-6 * trial:
-            f_new, g_new = fun(x + step * p)
+            f_new, g_new = yield x + step * p
             nfev += 1
             if f_new <= f + 1e-4 * step * slope:
                 break
@@ -380,15 +390,35 @@ def _bfgs(fun, x: np.ndarray, gtol: float, maxiter: int) -> _Run:
     return _Run(x, f, nfev, nit, nit < maxiter)
 
 
+def _lockstep(fun, runs) -> list:
+    """The ``_Run``s of the :func:`_bfgs` generators ``runs``, advanced in rounds.
+
+    Each round stacks the pending points of the live runs, at most ``_BLOCK`` at
+    a time, into one call of ``fun`` (``k`` rows to ``k`` values and gradients).
+    """
+    results = [None] * len(runs)
+    for first in range(0, len(runs), _BLOCK):
+        pending = {i: next(runs[i]) for i in range(len(runs))[first : first + _BLOCK]}
+        while pending:
+            values, grads = fun(np.array(list(pending.values())))
+            for i, value, grad in zip(list(pending), values, grads):
+                try:
+                    pending[i] = runs[i].send((float(value), grad))
+                except StopIteration as stop:
+                    results[i] = stop.value
+                    del pending[i]
+    return results
+
+
 def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> CapacityResult:
     """One-shot quantum capacity: maximum coherent information.
 
-    Runs BFGS on the exact gradient over the full Bloch ball of target
-    inputs, once from the maximally mixed input and once from each of
-    ``cfg.restarts - 1`` seeded points drawn uniformly in the ball. The
-    search point is the Bloch vector, projected onto the sphere from
-    outside, so the search is unconstrained. The best run wins, the lowest
-    restart index among exact ties. One evaluation gives value and gradient.
+    Runs BFGS on the exact gradient over the full Bloch ball of target inputs,
+    once from the maximally mixed input and once from each of
+    ``cfg.restarts - 1`` seeded points drawn uniformly in the ball. The search
+    point is the Bloch vector, projected onto the sphere from outside, so the
+    search is unconstrained. The runs advance in lockstep, and ``evaluations``
+    counts their points. The best run wins, the lowest restart index among exact ties.
 
     ``converged`` means the two best runs agree within ``cfg.tolerance``.
     A single run reports the solver's success, but a run that ends at its
@@ -408,7 +438,7 @@ def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Capa
     radii = rng.uniform(size=(cfg.restarts - 1, 1)) ** (1 / 3)
     seeded = radii * directions / np.linalg.norm(directions, axis=1, keepdims=True)
     starts = [np.zeros(3), *seeded]
-    runs = [_bfgs(objective, x0, _GRADIENT_TOL, cfg.max_iterations) for x0 in starts]
+    runs = _lockstep(objective, [_bfgs(x0, _GRADIENT_TOL, cfg.max_iterations) for x0 in starts])
     values = np.array([0.0 - res.fun for res in runs])
     best = int(np.argmax(values))
     if len(runs) >= 2:

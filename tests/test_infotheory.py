@@ -574,13 +574,13 @@ class TestOptimizerBehaviour:
         # the runs' own success.
         runs = []
 
-        bfgs = infotheory._bfgs
+        lockstep = infotheory._lockstep
 
-        def recording_bfgs(*args, **kwargs):
-            runs.append(bfgs(*args, **kwargs))
-            return runs[-1]
+        def recording_lockstep(*args):
+            runs.extend(lockstep(*args))
+            return runs
 
-        monkeypatch.setattr(infotheory, "_bfgs", recording_bfgs)
+        monkeypatch.setattr(infotheory, "_lockstep", recording_lockstep)
         # The origin is not stationary here, so a single run is judged by
         # the solver alone (see test_stationary_start_is_not_a_converged_run).
         fixed = drawn_amplitude_channel()
@@ -678,6 +678,16 @@ class TestSolvers:
         assert res.x < 1e-15
 
     @staticmethod
+    def _bfgs(fun, x, gtol, maxiter):
+        # One run driven through the lockstep driver, with ``fun`` applied row by row.
+        def rows(xs):
+            values, grads = zip(*map(fun, xs))
+            return np.array(values), np.array(grads)
+
+        (res,) = infotheory._lockstep(rows, [infotheory._bfgs(x, gtol, maxiter)])
+        return res
+
+    @staticmethod
     def _quadratic(seed=3):
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(3, 3))
@@ -686,7 +696,7 @@ class TestSolvers:
 
     def test_bfgs_reaches_gtol_on_convex_quadratic(self):
         fun, minimum = self._quadratic()
-        res = infotheory._bfgs(fun, np.zeros(3), 1e-8, 400)
+        res = self._bfgs(fun, np.zeros(3), 1e-8, 400)
         assert res.success
         assert 0 < res.nit < res.nfev <= 20
         assert np.abs(fun(res.x)[1]).max() <= 1e-8
@@ -694,7 +704,7 @@ class TestSolvers:
 
     def test_bfgs_stationary_start_takes_no_iteration(self):
         fun, minimum = self._quadratic()
-        res = infotheory._bfgs(fun, minimum, 1e-8, 400)
+        res = self._bfgs(fun, minimum, 1e-8, 400)
         assert (res.nit, res.nfev, res.success) == (0, 1, True)
         assert np.array_equal(res.x, minimum)
 
@@ -707,10 +717,10 @@ class TestSolvers:
             grad[1:] += 200 * inner
             return float(np.sum(100 * inner**2 + (1 - x[:-1]) ** 2)), grad
 
-        res = infotheory._bfgs(rosenbrock, np.zeros(3), 1e-8, 1)
+        res = self._bfgs(rosenbrock, np.zeros(3), 1e-8, 1)
         assert (res.nit, res.success) == (1, False)
         assert res.fun < rosenbrock(np.zeros(3))[0]
-        res = infotheory._bfgs(rosenbrock, np.zeros(3), 1e-8, 400)
+        res = self._bfgs(rosenbrock, np.zeros(3), 1e-8, 400)
         assert res.success
         assert_allclose(res.x, np.ones(3), atol=1e-6)
 
@@ -729,13 +739,11 @@ class TestBlochObjective:
         for composed in (switch(e1.base, e2.base), coherent_superposition(e1, e2)):
             fixed = fix_control(composed)
             objective = infotheory._objective(fixed)
-            value, grad = objective(r)
+            (value,), (grad,) = objective(r[None])
             assert -value == pytest.approx(coherent_information(fixed, rho), abs=1e-12)
             h = 1e-6
-            central = [
-                (objective(r + h * e)[0] - objective(r - h * e)[0]) / (2 * h)
-                for e in np.eye(3)
-            ]
+            shifted, _ = objective(np.concatenate([r + h * np.eye(3), r - h * np.eye(3)]))
+            central = (shifted[:3] - shifted[3:]) / (2 * h)
             assert_allclose(grad, central, rtol=0, atol=1e-6)
 
             # I_c(rho) <= S(rho) <= 1; a noiseless channel reads 1 up to rounding.
@@ -756,10 +764,125 @@ class TestBlochObjective:
     )
     def test_rank_deficient_states_stay_finite(self, make, radius):
         objective = infotheory._objective(make())
-        for direction in (*np.eye(3), np.array([1.0, -2.0, 2.0]) / 3):
-            value, grad = objective(radius * direction)
-            assert np.isfinite(value)
-            assert np.all(np.isfinite(grad))
+        directions = np.array([*np.eye(3), np.array([1.0, -2.0, 2.0]) / 3])
+        values, grads = objective(radius * directions)
+        assert np.all(np.isfinite(values))
+        assert np.all(np.isfinite(grads))
+
+
+class TestLockstep:
+    """The restarts advance together; batching must not change any run."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        case=channel_pairs_and_states(),
+        points=arrays(np.float64, (5, 3), elements=st.floats(-2, 2)),
+    )
+    def test_rows_equal_points_evaluated_alone(self, case, points):
+        (e1, e2), _ = case
+        for composed in (switch(e1.base, e2.base), coherent_superposition(e1, e2)):
+            objective = infotheory._objective(fix_control(composed))
+            values, grads = objective(points)
+            for row, x in enumerate(points):
+                (value,), (grad,) = objective(x[None])
+                assert value == values[row]
+                assert np.array_equal(grad, grads[row])
+
+    @staticmethod
+    def _recording(monkeypatch):
+        """Patch ``_lockstep`` to keep the runs it returns, in one list per call."""
+        lockstep, recorded = infotheory._lockstep, []
+
+        def recording(fun, runs):
+            recorded.append(lockstep(fun, runs))
+            return recorded[-1]
+
+        monkeypatch.setattr(infotheory, "_lockstep", recording)
+        return recorded
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_fixed(SupermapKind.SWITCH_OF_SWITCH, Family.DEPOLARIZING, 0.944),
+            lambda: build_fixed(SupermapKind.SWITCH, Family.BIT_FLIP, 0.629),
+            drawn_amplitude_channel,
+        ],
+        ids=["sos", "switch", "drawn"],
+    )
+    def test_lockstep_matches_runs_driven_alone(self, make, monkeypatch):
+        lockstep, compared = infotheory._lockstep, []
+        gtol, maxiter = infotheory._GRADIENT_TOL, OptimizerConfig().max_iterations
+
+        def checked(fun, runs):
+            # Each run first asks for its start point.
+            starts = [next(run) for run in runs]
+            together = lockstep(fun, [infotheory._bfgs(x, gtol, maxiter) for x in starts])
+            for x, res in zip(starts, together):
+                (alone,) = lockstep(fun, [infotheory._bfgs(x, gtol, maxiter)])
+                assert np.array_equal(alone.x, res.x)
+                assert alone[1:] == res[1:]
+            compared.append(together)
+            return together
+
+        monkeypatch.setattr(infotheory, "_lockstep", checked)
+        quantum_capacity(make())
+        (runs,) = compared
+        assert len(runs) == 6
+        assert len({res.nfev for res in runs}) > 1
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Patch ``_objective`` to record the rows of each call of the objective."""
+        objective, rows = infotheory._objective, []
+
+        def counting_objective(ch):
+            fun = objective(ch)
+
+            def counted(xs):
+                rows.append(len(xs))
+                return fun(xs)
+
+            return counted
+
+        monkeypatch.setattr(infotheory, "_objective", counting_objective)
+        return rows
+
+    @staticmethod
+    def _live_per_round(nfev):
+        """Rows of each round when round ``k`` evaluates the runs that need more than ``k`` points."""
+        return [sum(n > k for n in nfev) for k in range(max(nfev))]
+
+    def test_one_objective_call_and_two_eigh_calls_per_round(self, monkeypatch):
+        fixed = build_fixed(SupermapKind.SWITCH_OF_SWITCH, Family.DEPOLARIZING, 0.944)
+        eigh, stacks = np.linalg.eigh, []
+
+        def counting_eigh(a):
+            stacks.append(len(a))
+            return eigh(a)
+
+        rows, recorded = self._counting(monkeypatch), self._recording(monkeypatch)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        res = quantum_capacity(fixed)
+        (runs,) = recorded
+        nfev = [run.nfev for run in runs]
+        assert rows == self._live_per_round(nfev)
+        # One stack for the output map, one for the environment map.
+        assert stacks == [k for k in rows for _ in range(2)]
+        assert res.evaluations == sum(nfev) == sum(rows)
+
+    def test_blocks_bound_the_stack(self, monkeypatch):
+        block = infotheory._BLOCK
+        cfg = OptimizerConfig(restarts=2 * block + 1)
+        fixed = build_fixed(SupermapKind.SWITCH, Family.BIT_FLIP, 0.3)
+        rows, recorded = self._counting(monkeypatch), self._recording(monkeypatch)
+        res = quantum_capacity(fixed, cfg)
+        (runs,) = recorded
+        nfev = [run.nfev for run in runs]
+        assert len(runs) == cfg.restarts
+        blocks = [nfev[first : first + block] for first in range(0, len(nfev), block)]
+        assert rows == [k for part in blocks for k in self._live_per_round(part)]
+        assert max(rows) == block
+        assert res.evaluations == sum(rows)
 
 
 class TestTargetMarginal:
