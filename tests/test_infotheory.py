@@ -679,7 +679,7 @@ class TestSolvers:
 
     @staticmethod
     def _bfgs(fun, x, gtol, maxiter):
-        # One run driven through the lockstep driver, with ``fun`` applied row by row.
+        # One run advanced through ``_lockstep``, with ``fun`` applied row by row.
         def rows(xs):
             values, grads = zip(*map(fun, xs))
             return np.array(values), np.array(grads)
