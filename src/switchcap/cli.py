@@ -209,17 +209,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-_SOLVERS = {
-    CapacityType.CLASSICAL: classical_capacity,
-    CapacityType.QUANTUM: quantum_capacity,
-}
-
-
 def _capacity(cap: CapacityType, fixed, cfg: OptimizerConfig):
-    """Solve the built channel ``fixed`` for ``cap``; a ``ValueError`` the
-    solver raises is a numerical failure."""
+    """Solve the built channel ``fixed`` for ``cap``, the quantum one with
+    ``cfg``; a ``ValueError`` the solver raises is a numerical failure."""
     try:
-        return _SOLVERS[cap](fixed, cfg)
+        if cap is CapacityType.CLASSICAL:
+            return classical_capacity(fixed)
+        return quantum_capacity(fixed, cfg)
     except ValueError as exc:
         raise _NumericalError(f"{cap.token} capacity of {fixed.label}: {exc}") from None
 

@@ -13,8 +13,6 @@ import operator
 from enum import Enum
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .channels import (
     Channel,
     bit_flip,
@@ -125,7 +123,6 @@ def build_fixed(
     p: float,
     amps: Optional[Sequence[complex]] = None,
     outer_amps: Optional[Sequence[complex]] = None,
-    control: Optional[np.ndarray] = None,
 ) -> Channel:
-    """Composed configuration with its control fixed (default ``|+...+>``)."""
-    return fix_control(build_supermap(kind, family, p, amps, outer_amps), control)
+    """Composed configuration with its control fixed at ``|+...+>``."""
+    return fix_control(build_supermap(kind, family, p, amps, outer_amps))

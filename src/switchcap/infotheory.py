@@ -56,7 +56,6 @@ __all__ = [
     "OptimizerConfig",
     "CapacityResult",
     "holevo_information",
-    "complementary_output",
     "exchange_entropy",
     "coherent_information",
     "target_marginal",
@@ -67,6 +66,8 @@ __all__ = [
 #: Max-abs gradient at which a solver run stops: chi' for the classical
 #: capacity, the gradient of I_c for the quantum one.
 _GRADIENT_TOL = 1e-8
+#: Most slope evaluations of a classical solve, and BFGS iterations of a quantum run.
+_MAX_ITERATIONS = 400
 #: Eigenvalues at or below this drop out of the entropy and its gradient.
 _SPECTRUM_FLOOR = 1e-15
 #: ``sigma_mu / 2`` for ``mu = 0..3``: a qubit state is ``[0] + r . [1:]``.
@@ -127,18 +128,15 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the capacity maximizations.
+    """Settings for the quantum capacity maximization.
 
-    ``max_iterations`` caps each solver run of both capacities (slope
-    evaluations of the classical bisection, or BFGS iterations); the rest
-    reach only the quantum one. ``restarts`` counts total BFGS runs (the
-    canonical start plus ``restarts - 1`` seeded ones), which advance in
-    lockstep. ``tolerance`` is the absolute agreement, in bits, required
-    between the two best restarts for the run to be flagged converged.
+    ``restarts`` counts total BFGS runs (the canonical start plus
+    ``restarts - 1`` seeded ones), which advance in lockstep. ``tolerance``
+    is the absolute agreement, in bits, required between the two best
+    restarts for the run to be flagged converged.
     """
 
     restarts: int = 6
-    max_iterations: int = 400
     tolerance: float = 1e-6
     seed: int = 20240601
 
@@ -147,8 +145,6 @@ class OptimizerConfig:
             raise ValueError("restarts must be >= 1")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be finite and positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -283,7 +279,7 @@ def _bisect(fun, slope, gtol: float, maxiter: int) -> _Run:
     return _Run(x, fun(x), nit + 1, nit, abs(grad) <= gtol)
 
 
-def classical_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> CapacityResult:
+def classical_capacity(ch: Channel) -> CapacityResult:
     """One-shot classical capacity over computational-basis signaling.
 
     Maximizes the Holevo information chi of ``{(w, |0>), (1-w, |1>)}`` on the
@@ -294,15 +290,14 @@ def classical_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Ca
 
     chi is concave, so ``converged`` is a certificate: the solve stopped at a
     weight where ``|chi'| <= 1e-8``, so the value is within 1e-8 bits of the
-    maximum. ``evaluations`` counts slope evaluations (at most
-    ``cfg.max_iterations``) plus the one value evaluation.
+    maximum. ``evaluations`` counts slope evaluations (at most 400) plus the
+    one value evaluation.
     """
-    cfg = cfg or OptimizerConfig()
     if ch.d_in != 2:
         raise ValueError("classical capacity requires a qubit input space")
     if ch.output_dims[-1] != 2:
         raise ValueError("classical capacity requires a qubit target output factor")
-    res = _bisect(*_holevo_objective(ch), _GRADIENT_TOL, cfg.max_iterations)
+    res = _bisect(*_holevo_objective(ch), _GRADIENT_TOL, _MAX_ITERATIONS)
     return CapacityResult(
         value=max(res.fun, 0.0),
         argmax=Ensemble.computational(res.x),
@@ -342,8 +337,9 @@ def _objective(ch: Channel):
     is chained through the projection onto the sphere.
     """
     ks, n = ch.stacked, ch.n_kraus
-    out = np.einsum("aij,mjk,alk->mil", ks, _PAULI_HALVES, ks.conj())
-    env = (ks @ _PAULI_HALVES[:, None]).reshape(4, n, -1) @ ks.conj().reshape(n, -1).T
+    images = ks @ _PAULI_HALVES[:, None]
+    out = (images @ ks.conj().transpose(0, 2, 1)).sum(axis=1)
+    env = images.reshape(4, n, -1) @ ks.conj().reshape(n, -1).T
 
     def negative_coherent_information(xs: np.ndarray) -> tuple:
         norms = [float(np.linalg.norm(x)) for x in xs]
@@ -361,20 +357,19 @@ def _bfgs(x: np.ndarray, gtol: float, maxiter: int):
     """Minimize from ``x`` by BFGS: yield each point, be sent its value and gradient.
 
     The first point is ``x``, and the generator returns a ``_Run``. Each line
-    search starts at scipy's BFGS trial step, ``min(1, 2.02 (f - f_prev) /
-    slope)``, and halves it until the Armijo condition holds; a step shorter
-    than ``1e-6`` of the trial fails the run. The inverse Hessian takes the
-    BFGS update whenever the curvature ``y . s`` is positive. Succeeds when the
-    max-abs gradient reaches ``gtol`` within ``maxiter`` iterations.
+    search starts at the unit step along ``-h @ g`` and halves it until the
+    Armijo condition holds; a step below ``1e-6`` fails the run. The inverse
+    Hessian ``h`` takes the BFGS update whenever the curvature ``y . s`` is
+    positive. Succeeds when the max-abs gradient reaches ``gtol`` within
+    ``maxiter`` iterations.
     """
     f, g = yield x
-    nfev, nit = 1, 0
-    f_prev, h = f + float(np.linalg.norm(g)) / 2, np.eye(len(x))
+    nfev, nit, h = 1, 0, np.eye(len(x))
     while np.abs(g).max() > gtol and nit < maxiter:
         p = -h @ g
         slope = float(g @ p)
-        trial = step = min(1.0, 2.02 * (f - f_prev) / slope)
-        while step > 1e-6 * trial:
+        step = 1.0
+        while step >= 1e-6:
             f_new, g_new = yield x + step * p
             nfev += 1
             if f_new <= f + 1e-4 * step * slope:
@@ -383,7 +378,7 @@ def _bfgs(x: np.ndarray, gtol: float, maxiter: int):
         else:
             return _Run(x, f, nfev, nit, False)
         s, y = step * p, g_new - g
-        x, f_prev, f, g, nit = x + s, f, f_new, g_new, nit + 1
+        x, f, g, nit = x + s, f_new, g_new, nit + 1
         if (sy := s @ y) > 0:
             a = np.eye(len(x)) - np.outer(s, y) / sy
             h = a @ h @ a.T + np.outer(s, s) / sy
@@ -438,7 +433,7 @@ def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Capa
     radii = rng.uniform(size=(cfg.restarts - 1, 1)) ** (1 / 3)
     seeded = radii * directions / np.linalg.norm(directions, axis=1, keepdims=True)
     starts = [np.zeros(3), *seeded]
-    runs = _lockstep(objective, [_bfgs(x0, _GRADIENT_TOL, cfg.max_iterations) for x0 in starts])
+    runs = _lockstep(objective, [_bfgs(x0, _GRADIENT_TOL, _MAX_ITERATIONS) for x0 in starts])
     values = np.array([0.0 - res.fun for res in runs])
     best = int(np.argmax(values))
     if len(runs) >= 2:

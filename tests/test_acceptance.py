@@ -11,15 +11,16 @@ import numpy as np
 import pytest
 
 from _helpers import random_density, random_unitary
-from switchcap.channels import apply, bit_flip, completeness_defect, phase_flip
+from switchcap.channels import (
+    apply,
+    bit_flip,
+    completeness_defect,
+    complementary_output,
+    phase_flip,
+)
 from switchcap.cli import main as cli_main
 from switchcap.configs import Family, build_fixed, build_supermap
-from switchcap.infotheory import (
-    OptimizerConfig,
-    classical_capacity,
-    complementary_output,
-    quantum_capacity,
-)
+from switchcap.infotheory import OptimizerConfig, classical_capacity, quantum_capacity
 from switchcap.oracle import CapacityType, ClosedFormId, closed_form, list_available
 from switchcap.qmatrix import partial_trace, plus_state, projector, von_neumann_entropy
 from switchcap.supermaps import SupermapKind, fix_control, switch
@@ -58,7 +59,7 @@ NESTED = (
 def capacity(kind, family, p, capacity_type, amps=None, outer_amps=None):
     fixed = build_fixed(kind, family, p, amps, outer_amps)
     if capacity_type is CapacityType.CLASSICAL:
-        return classical_capacity(fixed, CFG).value
+        return classical_capacity(fixed).value
     return quantum_capacity(fixed, CFG).value
 
 

@@ -328,10 +328,10 @@ class TestNumericalFailure:
     MESSAGE = "eigenvalue -1.000e-03 below positivity floor"
 
     def _break(self, monkeypatch, capacity):
-        def boom(ch, cfg):
+        def boom(ch, *cfg):
             raise ValueError(self.MESSAGE)
 
-        monkeypatch.setitem(cli._SOLVERS, capacity, boom)
+        monkeypatch.setattr(cli, f"{capacity.token}_capacity", boom)
 
     @pytest.mark.parametrize(
         ("capacity", "argv"),
