@@ -11,12 +11,12 @@ from switchcap import (
     apply,
     bit_flip,
     coherent_superposition,
+    completeness_defect,
     fix_control,
     partial_trace,
     phase_flip,
     switch,
     vacuum_extend,
-    verify_completeness,
 )
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
@@ -28,7 +28,7 @@ pf = phase_flip(p)
 print("A bit-flip channel at p = 0.3 has two Kraus operators:")
 for i, k in enumerate(bf.kraus):
     print(f"K{i} =\n{k.real}")
-print("completeness holds:", verify_completeness(bf, 1e-10))
+print("completeness defect:", completeness_defect(bf))
 
 print("\nSending |0><0| through it mixes the populations:")
 ket0 = np.diag([1.0, 0.0]).astype(complex)
@@ -57,4 +57,4 @@ sup = coherent_superposition(vacuum_extend(bf, amps), vacuum_extend(bf, amps))
 print(f"superposition of two bit-flip channels: {sup.n_kraus} Kraus operators")
 print("each is the block-diagonal (K_i (+) K_j) / sqrt(2); the first:")
 print(sup.kraus[0].real)
-print("completeness holds:", verify_completeness(sup, 1e-10))
+print("completeness defect:", completeness_defect(sup))

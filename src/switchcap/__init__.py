@@ -12,6 +12,7 @@ from .channels import (
     apply,
     bit_flip,
     complementary_output,
+    completeness_defect,
     concentrated_amplitudes,
     depolarizing,
     identity_channel,
@@ -19,7 +20,6 @@ from .channels import (
     pauli,
     phase_flip,
     vacuum_extend,
-    verify_completeness,
 )
 from .configs import Family, build_fixed, build_supermap, family_channels
 from .infotheory import (
@@ -40,14 +40,7 @@ from .oracle import (
     effective_flip_probability,
     list_available,
 )
-from .qmatrix import (
-    direct_sum,
-    eig_hermitian,
-    partial_trace,
-    plus_state,
-    tensor,
-    von_neumann_entropy,
-)
+from .qmatrix import eig_hermitian, partial_trace, plus_state, von_neumann_entropy
 from .supermaps import SupermapKind, coherent_superposition, fix_control, switch
 
 __version__ = "0.1.0"
@@ -62,7 +55,7 @@ __all__ = [
     "depolarizing",
     "identity_channel",
     "vacuum_extend",
-    "verify_completeness",
+    "completeness_defect",
     "normalized_amplitudes",
     "concentrated_amplitudes",
     "SupermapKind",
@@ -88,8 +81,6 @@ __all__ = [
     "closed_form",
     "list_available",
     "effective_flip_probability",
-    "tensor",
-    "direct_sum",
     "partial_trace",
     "eig_hermitian",
     "von_neumann_entropy",

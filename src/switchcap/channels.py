@@ -13,19 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .qmatrix import (
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    as_complex_matrix,
-    direct_sum,
-)
+from .qmatrix import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_complex_matrix
 
 __all__ = [
     "Channel",
@@ -39,7 +31,6 @@ __all__ = [
     "identity_channel",
     "apply",
     "complementary_output",
-    "verify_completeness",
     "completeness_defect",
     "normalized_amplitudes",
     "concentrated_amplitudes",
@@ -215,23 +206,14 @@ def completeness_defect(ch: Channel) -> float:
     return float(np.max(np.abs(rows.conj().T @ rows - np.eye(ch.d_in))))
 
 
-def verify_completeness(ch: Channel, tol: float = COMPLETENESS_TOL) -> bool:
-    """True iff the Kraus set resolves the identity within ``tol``.
-
-    Every constructed channel passes at ``COMPLETENESS_TOL``, so only a
-    tighter ``tol`` can fail.
-    """
-    return completeness_defect(ch) <= tol
-
-
-def normalized_amplitudes(amps: Sequence[complex], n_kraus: Optional[int] = None) -> np.ndarray:
+def normalized_amplitudes(amps: Sequence[complex], n_kraus: int) -> np.ndarray:
     """Validate a vacuum-amplitude vector and return it as a read-only array.
 
-    The squared magnitudes must sum to 1 within ``AMPLITUDE_TOL``; if
-    ``n_kraus`` is given the length must match it.
+    The length must be ``n_kraus`` and the squared magnitudes must sum to 1
+    within ``AMPLITUDE_TOL``.
     """
     arr = np.asarray(amps, dtype=complex).ravel().copy()
-    if n_kraus is not None and arr.size != n_kraus:
+    if arr.size != n_kraus:
         raise ValueError(
             f"expected {n_kraus} vacuum amplitudes (one per Kraus operator), got {arr.size}"
         )
@@ -254,9 +236,11 @@ def concentrated_amplitudes(n: int) -> np.ndarray:
 class VacuumExtendedChannel:
     """A channel together with its action on the vacuum sector.
 
-    The extended Kraus operators ``K_i (+) gamma_i`` act on ``d_in + 1``
-    dimensions, the appended last basis vector being the vacuum. The
-    amplitudes ``gamma_i`` satisfy ``sum |gamma_i|^2 = 1``.
+    It stands for the extended Kraus operators ``K_i (+) gamma_i`` on
+    ``d_in + 1`` dimensions, the appended last basis vector being the
+    vacuum; :func:`~switchcap.supermaps.coherent_superposition` reads
+    ``base`` and ``amps`` without building them. The amplitudes
+    ``gamma_i`` satisfy ``sum |gamma_i|^2 = 1``.
     """
 
     base: Channel
@@ -265,16 +249,6 @@ class VacuumExtendedChannel:
     def __post_init__(self):
         amps = normalized_amplitudes(self.amps, self.base.n_kraus)
         object.__setattr__(self, "amps", amps)
-
-    @cached_property
-    def extended(self) -> Channel:
-        """The extended Kraus operators as a ``(d_in + 1)``-dimensional channel."""
-        ext_kraus = tuple(
-            direct_sum(k, np.array([[g]], dtype=complex))
-            for k, g in zip(self.base.kraus, self.amps)
-        )
-        dim = self.base.d_in + 1
-        return Channel(ext_kraus, (dim,), (dim,), label=f"{self.base.label}+vac")
 
 
 def vacuum_extend(ch: Channel, amps: Sequence[complex]) -> VacuumExtendedChannel:

@@ -22,15 +22,11 @@ __all__ = [
     "HERMITIAN_TOL",
     "EIGENVALUE_FLOOR",
     "as_complex_matrix",
-    "tensor",
-    "direct_sum",
     "partial_trace",
     "eig_hermitian",
     "von_neumann_entropy",
     "entropy_of_spectrum",
-    "is_density_matrix",
     "assert_density_matrix",
-    "projector",
     "plus_state",
 ]
 
@@ -56,25 +52,6 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices.
-
-    Block (i, j) of the result equals ``a[i, j] * b``; the output shape is
-    ``(a.rows * b.rows, a.cols * b.cols)``.
-    """
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
-def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix ``diag(a, b)`` with exactly zero off-diagonal blocks."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
-
-
 def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Reduced state on the subsystems listed in ``keep``.
 
@@ -83,7 +60,7 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> 
     rho : ndarray
         Square matrix on the composite space ``prod(dims)``.
     dims : sequence of int
-        Dimension of each tensor factor, in order.
+        Dimension of each subsystem, in order.
     keep : iterable of int
         Indices (into ``dims``) of the subsystems to keep. Order of the
         kept factors is preserved.
@@ -118,20 +95,20 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> 
     return reduced.reshape(kept_dim, kept_dim)
 
 
-def eig_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def eig_hermitian(h: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted ascending.
 
     Uses a dedicated Hermitian solver so the spectrum is real by
     construction. Raises ``ValueError`` if ``h`` deviates from Hermiticity
-    by more than ``tol`` in max-abs norm.
+    by more than ``HERMITIAN_TOL`` in max-abs norm.
     """
-    return _checked_spectrum(as_complex_matrix(h), tol)
+    return _checked_spectrum(as_complex_matrix(h))
 
 
-def _checked_spectrum(h: np.ndarray, tol: float) -> np.ndarray:
+def _checked_spectrum(h: np.ndarray) -> np.ndarray:
     """:func:`eig_hermitian` of a matrix already through ``as_complex_matrix``."""
     dev = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
-    if dev > tol:
+    if dev > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return np.linalg.eigvalsh(h)
 
@@ -156,39 +133,24 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return entropy_of_spectrum(eig_hermitian(rho))
 
 
-def is_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """True iff ``rho`` is Hermitian, unit-trace and positive within ``tol``."""
-    try:
-        assert_density_matrix(rho, tol=tol)
-    except ValueError:
-        return False
-    return True
-
-
-def assert_density_matrix(rho: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Raise ``ValueError`` unless ``rho`` satisfies all density-matrix invariants.
 
-    Checks, each within ``tol``: finite entries, Hermiticity (max-abs
-    deviation of ``rho - rho†``, by :func:`eig_hermitian`), unit trace, and
-    eigenvalues bounded below by ``-tol``. Returns ``rho`` as the checked
-    complex matrix.
+    Checks, each within ``HERMITIAN_TOL``: finite entries, Hermiticity
+    (max-abs deviation of ``rho - rho†``, by :func:`eig_hermitian`), unit
+    trace, and eigenvalues bounded below by ``-HERMITIAN_TOL``. Returns
+    ``rho`` as the checked complex matrix.
     """
     rho = as_complex_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
-    eigs = _checked_spectrum(rho, tol)
+    eigs = _checked_spectrum(rho)
     tr = np.trace(rho)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"trace {tr} differs from 1 by more than {tol}")
-    if eigs.min() < -tol:
+    if abs(tr - 1.0) > HERMITIAN_TOL:
+        raise ValueError(f"trace {tr} differs from 1 by more than {HERMITIAN_TOL}")
+    if eigs.min() < -HERMITIAN_TOL:
         raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
     return rho
-
-
-def projector(vec: np.ndarray) -> np.ndarray:
-    """Rank-one projector ``|v><v|`` onto a (normalized) vector."""
-    v = np.asarray(vec, dtype=complex).ravel()
-    return np.outer(v, v.conj())
 
 
 def plus_state(n_qubits: int = 1) -> np.ndarray:

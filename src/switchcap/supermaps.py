@@ -108,14 +108,13 @@ def fold(
     return walk(_TREES[kind])
 
 
-def _require_square_equal(channels: Sequence[Channel]) -> int:
+def _require_square_equal(channels: Sequence[Channel]) -> None:
     dims = {(c.d_in, c.d_out) for c in channels}
     if len(dims) != 1:
         raise ValueError(f"channels must share one dimension, got {sorted(dims)}")
     d_in, d_out = dims.pop()
     if d_in != d_out:
         raise ValueError("composition requires square Kraus operators")
-    return d_in
 
 
 def _controlled(first: np.ndarray, second: np.ndarray) -> np.ndarray:

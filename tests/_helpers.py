@@ -10,6 +10,22 @@ from switchcap.configs import Family
 from switchcap.qmatrix import partial_trace
 
 
+def projector(vec):
+    """Rank-one projector ``|v><v|`` onto a (normalized) vector."""
+    v = np.asarray(vec, dtype=complex).ravel()
+    return np.outer(v, v.conj())
+
+
+def direct_sum(a, b):
+    """Block-diagonal matrix ``diag(a, b)`` with exactly zero off-diagonal blocks."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0] :, a.shape[1] :] = b
+    return out
+
+
 def random_density(rng, dim):
     """Random full-rank density matrix via a Ginibre matrix."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

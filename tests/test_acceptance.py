@@ -10,7 +10,7 @@ import functools
 import numpy as np
 import pytest
 
-from _helpers import random_density, random_unitary
+from _helpers import projector, random_density, random_unitary
 from switchcap.channels import (
     apply,
     bit_flip,
@@ -22,7 +22,7 @@ from switchcap.cli import main as cli_main
 from switchcap.configs import Family, build_fixed, build_supermap
 from switchcap.infotheory import OptimizerConfig, classical_capacity, quantum_capacity
 from switchcap.oracle import CapacityType, ClosedFormId, closed_form, list_available
-from switchcap.qmatrix import partial_trace, plus_state, projector, von_neumann_entropy
+from switchcap.qmatrix import partial_trace, plus_state, von_neumann_entropy
 from switchcap.supermaps import SupermapKind, fix_control, switch
 
 GRID = [float(p) for p in np.linspace(0.0, 1.0, 21)]

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _helpers import random_density
+from _helpers import direct_sum, projector, random_density
 from switchcap.channels import (
     Channel,
     apply,
     bit_flip,
+    completeness_defect,
     depolarizing,
     identity_channel,
     pauli,
     phase_flip,
     vacuum_extend,
-    verify_completeness,
 )
 from switchcap.qmatrix import (
     IDENTITY_2,
@@ -20,7 +20,6 @@ from switchcap.qmatrix import (
     SIGMA_Y,
     SIGMA_Z,
     assert_density_matrix,
-    projector,
 )
 
 KET0 = projector(np.array([1, 0], dtype=complex))
@@ -169,10 +168,10 @@ class TestApply:
                 assert_allclose(out, IDENTITY_2 / 2, atol=1e-10)
 
 
-class TestVerifyCompleteness:
+class TestCompleteness:
     def test_catalog_at_quarter(self):
         for make in CATALOG:
-            assert verify_completeness(make(0.25), 1e-10)
+            assert completeness_defect(make(0.25)) <= 1e-10
 
     def test_scaled_kraus_fails(self):
         ch = bit_flip(0.3)
@@ -218,29 +217,36 @@ class TestChannelStorage:
             Channel(np.zeros((2, 3, 3)), (2,), (2,))
 
 
+def _extended_channel(ext):
+    """The ``K_i (+) gamma_i`` Kraus set of ``ext`` on ``d_in + 1`` dimensions."""
+    dim = ext.base.d_in + 1
+    kraus = [direct_sum(k, [[g]]) for k, g in zip(ext.base.kraus, ext.amps)]
+    return Channel(kraus, (dim,), (dim,))
+
+
 class TestVacuumExtend:
     def test_bit_flip_uniform_amplitudes(self):
         # Extended operators are K_i (+) 1/sqrt(2) on the 3-dimensional
         # space with the vacuum as last basis vector.
         p = 0.3
-        ext = vacuum_extend(bit_flip(p), (1 / np.sqrt(2), 1 / np.sqrt(2)))
+        ext = _extended_channel(vacuum_extend(bit_flip(p), (1 / np.sqrt(2), 1 / np.sqrt(2))))
         for i, base in enumerate(bit_flip(p).kraus):
             expected = np.zeros((3, 3), dtype=complex)
             expected[:2, :2] = base
             expected[2, 2] = 1 / np.sqrt(2)
-            assert_allclose(ext.extended.kraus[i], expected)
-        assert verify_completeness(ext.extended, 1e-10)
+            assert_allclose(ext.kraus[i], expected)
+        assert completeness_defect(ext) <= 1e-10
 
     def test_concentrated_amplitudes(self):
         ext = vacuum_extend(depolarizing(0.5), (1, 0, 0, 0))
-        vac_components = [k[2, 2] for k in ext.extended.kraus]
+        vac_components = [k[2, 2] for k in _extended_channel(ext).kraus]
         assert vac_components[0] == 1.0
         assert_allclose(vac_components[1:], 0)
 
     def test_uniform_depolarizing_amplitudes_normalized(self):
         ext = vacuum_extend(depolarizing(0.7), (0.5, 0.5, 0.5, 0.5))
         assert np.sum(np.abs(ext.amps) ** 2) == pytest.approx(1.0, abs=1e-12)
-        assert verify_completeness(ext.extended, 1e-10)
+        assert completeness_defect(_extended_channel(ext)) <= 1e-10
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
@@ -258,5 +264,5 @@ class TestVacuumExtend:
         rho = random_density(rng, 2)
         embedded = np.zeros((3, 3), dtype=complex)
         embedded[:2, :2] = rho
-        out = apply(ext.extended, embedded)
+        out = apply(_extended_channel(ext), embedded)
         assert_allclose(out[:2, :2], apply(ext.base, rho), atol=1e-14)

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from _helpers import (
     channel_pairs_and_states,
     eligible_families,
+    projector,
     random_channel,
     random_density,
     random_pure,
@@ -46,7 +47,6 @@ from switchcap.qmatrix import (
     SIGMA_Y,
     SIGMA_Z,
     assert_density_matrix,
-    projector,
     von_neumann_entropy,
 )
 from switchcap.supermaps import SupermapKind, coherent_superposition, fix_control, switch
@@ -302,6 +302,10 @@ class TestCoherentInformation:
         reference = von_neumann_entropy(out) - s_env
         assert exchange_entropy(ch, rho) == pytest.approx(s_env, abs=1e-9)
         assert coherent_information(ch, rho) == pytest.approx(reference, abs=1e-9)
+        # A pure input leaves output and environment in a pure joint state,
+        # so S(B) = S(E).
+        if np.linalg.matrix_rank(rho, hermitian=True) == 1:
+            assert coherent_information(ch, rho) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestClassicalCapacity:
@@ -741,7 +745,9 @@ class TestBlochObjective:
     )
     def test_random_composed_channels(self, case, point, mixing):
         (e1, e2), _ = case
-        r = 0.9 * point / max(1.0, np.linalg.norm(point))
+        norm = np.linalg.norm(point)
+        r = 0.9 * point / max(1.0, norm)
+        sphere = point / norm if norm > 1e-6 else np.array([0.0, 0.0, 1.0])
         rho = 0.5 * (np.eye(2) + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
         for composed in (switch(e1.base, e2.base), coherent_superposition(e1, e2)):
             fixed = fix_control(composed)
@@ -752,6 +758,9 @@ class TestBlochObjective:
             shifted, _ = objective(np.concatenate([r + h * np.eye(3), r - h * np.eye(3)]))
             central = (shifted[:3] - shifted[3:]) / (2 * h)
             assert_allclose(grad, central, rtol=0, atol=1e-6)
+            # On and outside the unit sphere the input is pure, so I_c is 0.
+            values, _ = objective(np.array([sphere, 2 * sphere]))
+            assert_allclose(values, 0.0, rtol=0, atol=1e-12)
 
             # I_c(rho) <= S(rho) <= 1; a noiseless channel reads 1 up to rounding.
             res = quantum_capacity(fixed)

@@ -2,61 +2,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _helpers import random_density, random_unitary
+from _helpers import direct_sum, projector, random_density, random_unitary
 from switchcap.qmatrix import (
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Z,
     assert_density_matrix,
-    direct_sum,
     eig_hermitian,
     entropy_of_spectrum,
-    is_density_matrix,
     partial_trace,
-    projector,
-    tensor,
     von_neumann_entropy,
 )
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
-
-
-class TestTensor:
-    def test_identity_times_identity(self):
-        assert_allclose(tensor(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-    def test_sigma_x_with_projector_places_blocks(self):
-        got = tensor(SIGMA_X, projector(KET0))
-        expected = np.zeros((4, 4), dtype=complex)
-        # sigma_x pattern on the first factor selects blocks (0,1) and (1,0),
-        # each filled with |0><0|.
-        expected[0, 2] = expected[2, 0] = 1.0
-        assert_allclose(got, expected)
-
-    def test_matches_entrywise_double_loop(self):
-        # Independent oracle: the scalar definition of the Kronecker product.
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        got = tensor(a, b)
-        assert got.shape == (6, 6)
-        for i in range(2):
-            for j in range(2):
-                for k in range(3):
-                    for l in range(3):
-                        assert got[3 * i + k, 3 * j + l] == pytest.approx(
-                            a[i, j] * b[k, l]
-                        )
-
-    def test_associativity(self):
-        rng = np.random.default_rng(11)
-        a, b, c = (
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)
-        )
-        assert_allclose(
-            tensor(tensor(a, b), c), tensor(a, tensor(b, c)), atol=1e-12, rtol=0
-        )
 
 
 class TestDirectSum:
@@ -187,9 +146,17 @@ class TestEntropy:
 class TestDensityValidation:
     def test_accepts_valid(self):
         rng = np.random.default_rng(23)
-        assert is_density_matrix(random_density(rng, 3))
+        rho = random_density(rng, 3)
+        assert_allclose(assert_density_matrix(rho), rho)
 
-    def test_rejects_invalid(self):
-        assert not is_density_matrix(np.eye(2))  # trace 2
-        assert not is_density_matrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))
-        assert not is_density_matrix(np.diag([1.5, -0.5]))
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.eye(2), "trace"),
+            (np.array([[0.5, 0.5], [-0.5, 0.5]]), "not Hermitian"),
+            (np.diag([1.5, -0.5]), "negative eigenvalue"),
+        ],
+    )
+    def test_rejects_invalid(self, rho, message):
+        with pytest.raises(ValueError, match=message):
+            assert_density_matrix(rho)

@@ -59,6 +59,26 @@ def test_check_sees_private_imports(tmp_path):
     assert names == ["_input_state", "_LEAF_MODELS", "_private_module", "_private_module"]
 
 
+def _loads(node) -> list:
+    """Every name ``node`` loads, as an ``ast.Name`` id or an ``ast.Attribute`` attr."""
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    ]
+
+
+def _definitions(tree):
+    """``(name, loads inside it)`` of each module-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, Counter(_loads(node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                yield from ((n.id, Counter()) for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
 def _unread_private_names(paths) -> list:
     """``(file, name)`` of each module-level ``_name`` in ``paths`` that none of them reads.
 
@@ -66,33 +86,13 @@ def _unread_private_names(paths) -> list:
     underscore; a read is a loaded name or attribute outside that definition.
     """
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
-
-    def loads(node) -> list:
-        return [
-            n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
-        ]
-
-    reads = Counter(name for tree in trees.values() for name in loads(tree))
-    unread = []
-    for path, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names, own = [node.name], Counter(loads(node))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-                own = Counter()
-            else:
-                continue
-            unread += [
-                (path.name, name)
-                for name in names
-                if name.startswith("_") and not name.startswith("__")
-                and reads[name] == own[name]
-            ]
-    return unread
+    reads = Counter(name for tree in trees.values() for name in _loads(tree))
+    return [
+        (path.name, name)
+        for path, tree in trees.items()
+        for name, own in _definitions(tree)
+        if name.startswith("_") and not name.startswith("__") and reads[name] == own[name]
+    ]
 
 
 def test_every_private_name_is_read():
@@ -118,6 +118,88 @@ def test_check_sees_unread_private_names(tmp_path):
     assert _unread_private_names([source]) == [
         ("probe.py", "_UNREAD"), ("probe.py", "_Unused"), ("probe.py", "_recursive")
     ]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Exports no module under ``src/``, ``demos/`` or ``perfbench/`` reads, each kept
+#: for the reason given.
+UNREAD_EXPORTS = {
+    "identity_channel": "catalog constructor, the noiseless end of the channel catalog",
+    "pauli": "catalog constructor, the general Pauli channel of the catalog",
+    "holevo_information": "the reference the classical objective is tested against, "
+    "and the engine of a Holevo capacity on the full output",
+    "target_marginal": "independent reference for the classical objective and the oracle",
+    "effective_flip_probability": "independent reference for the classical closed forms",
+}
+
+
+def _all_names(tree) -> list:
+    """The strings listed in the module-level ``__all__`` of ``tree``."""
+    return [
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    ]
+
+
+def _unread_exports(modules, readers) -> set:
+    """Each name in an ``__all__`` of ``modules`` that no file in ``readers`` loads.
+
+    A read is a loaded name or attribute outside the name's own definition
+    in ``modules``; an import or an ``__all__`` entry alone is not a read.
+    """
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in modules]
+    exported = {name for tree in trees for name in _all_names(tree)}
+    own = {name: loads for tree in trees for name, loads in _definitions(tree)}
+    reads = Counter(
+        name for path in readers for name in _loads(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    return {name for name in exported if reads[name] == own.get(name, Counter())[name]}
+
+
+def test_every_export_is_read():
+    modules = sorted(PACKAGE.glob("*.py"))
+    readers = modules + sorted((ROOT / "demos").glob("*.py")) + [
+        path for path in sorted((ROOT / "perfbench").glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    assert len(modules) > 1 and len(readers) > len(modules) + 3
+    assert _unread_exports(modules, readers) == set(UNREAD_EXPORTS)
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(switchcap.__all__) == sorted(imported)
+
+
+def test_check_sees_unread_exports(tmp_path):
+    # Unread: an export never loaded, one that only calls itself, one only imported.
+    module = tmp_path / "probe.py"
+    module.write_text(
+        '__all__ = ["read", "unread", "recursive", "imported", "attribute", "CONSTANT"]\n'
+        "CONSTANT = 1\n"
+        "def read():\n    return CONSTANT\n"
+        "def unread():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def imported():\n    pass\n"
+        "def attribute():\n    pass\n",
+        encoding="utf-8",
+    )
+    user = tmp_path / "user.py"
+    user.write_text(
+        "import probe\n"
+        "from probe import imported, read\n"
+        "read()\n"
+        "probe.attribute()\n",
+        encoding="utf-8",
+    )
+    assert _unread_exports([module], [module, user]) == {"unread", "recursive", "imported"}
 
 
 def _imported_modules(*args) -> set:

@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 
 from _helpers import (
     channel_pairs_and_states,
+    direct_sum,
     eligible_families,
+    projector,
     random_channel,
     random_density,
     random_unit_vector,
@@ -22,11 +24,10 @@ from switchcap.channels import (
     identity_channel,
     phase_flip,
     vacuum_extend,
-    verify_completeness,
 )
 from switchcap.configs import Family, build_fixed, build_supermap, family_channels
 from switchcap.infotheory import coherent_information, exchange_entropy
-from switchcap.qmatrix import direct_sum, partial_trace, plus_state, projector
+from switchcap.qmatrix import partial_trace, plus_state
 from switchcap.supermaps import (
     SupermapKind,
     coherent_superposition,
@@ -114,7 +115,7 @@ class TestCoherentSuperposition:
                 vacuum_extend(depolarizing(p), amps),
                 vacuum_extend(depolarizing(p), amps),
             )
-            assert verify_completeness(ch, 1e-10)
+            assert completeness_defect(ch) <= 1e-10
 
 
 class TestBlockConstruction:
