@@ -26,8 +26,9 @@ multistart BFGS with a backtracking line search over the Bloch ball: a
 canonical start (maximally mixed state) plus seeded random restarts,
 deterministic for a fixed seed. Output and environment states are affine in
 the Bloch vector, so their eigendecompositions give the value and its exact
-gradient. The restarts advance in lockstep, with one batched
-eigendecomposition per map per round. Both solvers are short loops here.
+gradient; a point on or outside the sphere is a pure input, scored 0 with
+zero gradient and no eigendecomposition. The restarts advance in lockstep, each
+round with one eigendecomposition per map of its points inside the ball.
 """
 
 from __future__ import annotations
@@ -310,31 +311,29 @@ def classical_capacity(ch: Channel) -> CapacityResult:
 def _entropy_and_gradient(maps: np.ndarray, r: np.ndarray) -> tuple:
     """Entropy in bits of ``maps[0] + r . maps[1:]`` and its gradient, per row ``r``.
 
-    Only the eigendecomposition is stacked; each row is assembled and reduced
-    as if alone, as stacked products round differently. The slopes ``maps[1:]``
-    are traceless, so ``dS/dr_i = -Tr(maps[i+1] log2 rho)``. Eigenvalues at or
-    below ``_SPECTRUM_FLOOR`` add nothing to either.
+    The states are assembled elementwise and eigendecomposed as one stack;
+    no step mixes rows. The slopes ``maps[1:]`` are traceless and Hermitian,
+    so ``dS/dr_i = -Tr(maps[i+1] log2 rho)`` is the real part of the sum of
+    ``conj(maps[i+1]) * log2 rho``, with ``log2 rho`` rebuilt by one batched
+    product. Eigenvalues at or below ``_SPECTRUM_FLOOR`` take log 1 and add nothing.
     """
-    flat = maps[1:].reshape(3, -1)
-    states = maps[0] + np.array([x @ flat for x in r]).reshape(-1, *maps.shape[1:])
-    values, grads = [], []
-    for eigvals, eigvecs in zip(*np.linalg.eigh(states)):
-        keep = eigvals > _SPECTRUM_FLOOR
-        weights, vecs = eigvals[keep], eigvecs[:, keep]
-        logs = np.log2(weights)
-        slopes = np.einsum("ik,nik->nk", vecs.conj(), maps[1:] @ vecs).real
-        values.append(-float(weights @ logs))
-        grads.append(-(slopes @ logs))
-    return np.array(values), np.array(grads)
+    x, y, z = r.T[:, :, None, None]
+    states = maps[0] + x * maps[1] + y * maps[2] + z * maps[3]
+    eigvals, eigvecs = np.linalg.eigh(states)
+    logs = np.log2(np.where(eigvals > _SPECTRUM_FLOOR, eigvals, 1.0))
+    log_rho = (eigvecs * logs[:, None]) @ eigvecs.conj().transpose(0, 2, 1)
+    traces = np.einsum("nij,mij->mn", maps[1:].conj(), log_rho).real
+    return -(eigvals * logs).sum(axis=1), -traces
 
 
 def _objective(ch: Channel):
-    """``x -> (-I_c, -grad I_c)`` at the Bloch vector ``r = x / max(1, |x|)``, per row ``x``.
+    """``x -> (-I_c, -grad I_c)`` at the Bloch vector ``x``, per row ``x``.
 
-    The input ``(I + r . sigma) / 2`` has output ``out[0] + r . out[1:]`` and
-    environment state ``env[0] + r . env[1:]``, from the images of
-    ``sigma_mu / 2`` built once here. Outside the unit ball the gradient
-    is chained through the projection onto the sphere.
+    The input ``(I + x . sigma) / 2`` has output ``out[0] + x . out[1:]`` and
+    environment state ``env[0] + x . env[1:]``, from the images of
+    ``sigma_mu / 2`` built once here. A row with ``|x| >= 1`` is a pure input,
+    whose output and environment entropies are equal: it scores 0 with zero
+    gradient and no eigendecomposition.
     """
     ks, n = ch.stacked, ch.n_kraus
     images = ks @ _PAULI_HALVES[:, None]
@@ -342,13 +341,13 @@ def _objective(ch: Channel):
     env = images.reshape(4, n, -1) @ ks.conj().reshape(n, -1).T
 
     def negative_coherent_information(xs: np.ndarray) -> tuple:
-        norms = [float(np.linalg.norm(x)) for x in xs]
-        r = np.array([x / max(1.0, norm) for x, norm in zip(xs, norms)])
-        s_out, g_out = _entropy_and_gradient(out, r)
-        s_env, g_env = _entropy_and_gradient(env, r)
-        chained = zip(r, g_env - g_out, norms)
-        grads = [(g - x * (x @ g)) / norm if norm > 1.0 else g for x, g, norm in chained]
-        return s_env - s_out, np.array(grads)
+        values, grads = np.zeros(len(xs)), np.zeros(xs.shape)
+        inside = (xs * xs).sum(axis=1) < 1.0
+        if inside.any():
+            s_out, g_out = _entropy_and_gradient(out, xs[inside])
+            s_env, g_env = _entropy_and_gradient(env, xs[inside])
+            values[inside], grads[inside] = s_env - s_out, g_env - g_out
+        return values, grads
 
     return negative_coherent_information
 
@@ -411,9 +410,10 @@ def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Capa
     Runs BFGS on the exact gradient over the full Bloch ball of target inputs,
     once from the maximally mixed input and once from each of
     ``cfg.restarts - 1`` seeded points drawn uniformly in the ball. The search
-    point is the Bloch vector, projected onto the sphere from outside, so the
-    search is unconstrained. The runs advance in lockstep, and ``evaluations``
-    counts their points. The best run wins, the lowest restart index among exact ties.
+    is unconstrained: a point with ``|x| >= 1`` is the pure input in its
+    direction, where I_c is 0, and scores exactly 0 with zero gradient. The
+    runs advance in lockstep, and ``evaluations`` counts all their points,
+    eigendecomposed or not. The best run wins, the lowest restart index among exact ties.
 
     ``converged`` means the two best runs agree within ``cfg.tolerance``.
     A single run reports the solver's success, but a run that ends at its

@@ -112,6 +112,26 @@ def drawn_amplitude_channel():
     )
 
 
+def entropy_and_gradient_by_rows(maps, r):
+    """Reference for ``infotheory._entropy_and_gradient``: each row reduced alone.
+
+    The state is assembled as the stacked pass assembles it, so both see the
+    same spectrum; the entropy and ``-Tr(maps[i+1] log2 rho)`` are then sums
+    over the eigenpairs kept above the floor.
+    """
+    values, grads = [], []
+    for x in r:
+        state = maps[0] + x[0] * maps[1] + x[1] * maps[2] + x[2] * maps[3]
+        eigvals, eigvecs = np.linalg.eigh(state)
+        keep = eigvals > infotheory._SPECTRUM_FLOOR
+        weights, vecs = eigvals[keep], eigvecs[:, keep]
+        logs = np.log2(weights)
+        slopes = np.einsum("ik,nik->nk", vecs.conj(), maps[1:] @ vecs).real
+        values.append(-weights @ logs)
+        grads.append(-(slopes @ logs))
+    return np.array(values), np.array(grads)
+
+
 def amplitude_damping(g):
     kraus = (
         np.array([[1, 0], [0, np.sqrt(1 - g)]]),
@@ -530,6 +550,21 @@ class TestQuantumCapacity:
         assert res.value == 0.0
         assert not np.signbit(res.value)
 
+    @pytest.mark.parametrize(
+        "kind,p",
+        [
+            (SupermapKind.SWITCH_OF_SWITCH, 0.944),
+            (SupermapKind.COH_OF_COH, 0.657),
+            (SupermapKind.SWITCH, 1.0),
+        ],
+    )
+    def test_zero_capacity_raw_value_is_exact_zero(self, kind, p):
+        # The best run ends outside the ball, where the objective is exactly
+        # 0, not rounding noise such as 4.4e-16.
+        res = quantum_capacity(build_fixed(kind, Family.DEPOLARIZING, p))
+        assert res.raw_value == 0.0
+        assert not np.signbit(res.raw_value)
+
     def test_dominates_maximally_mixed_input(self):
         for kind in ALL_KINDS:
             fixed = build_fixed(kind, Family.BIT_FLIP, 0.2)
@@ -758,9 +793,21 @@ class TestBlochObjective:
             shifted, _ = objective(np.concatenate([r + h * np.eye(3), r - h * np.eye(3)]))
             central = (shifted[:3] - shifted[3:]) / (2 * h)
             assert_allclose(grad, central, rtol=0, atol=1e-6)
-            # On and outside the unit sphere the input is pure, so I_c is 0.
-            values, _ = objective(np.array([sphere, 2 * sphere]))
-            assert_allclose(values, 0.0, rtol=0, atol=1e-12)
+            # The stacked pass agrees with the rows reduced one at a time; and a
+            # pure input gives equal output and environment entropies, which
+            # the objective relies on to answer |x| >= 1 without eigh.
+            rows, entropies = np.array([r, sphere, *np.eye(3)]), []
+            for image in (apply, complementary_output):
+                maps = np.array([image(fixed, half) for half in infotheory._PAULI_HALVES])
+                values, grads = infotheory._entropy_and_gradient(maps, rows)
+                expected_values, expected_grads = entropy_and_gradient_by_rows(maps, rows)
+                assert_allclose(values, expected_values, rtol=0, atol=1e-12)
+                assert_allclose(grads, expected_grads, rtol=0, atol=1e-10)
+                entropies.append(values[1:])
+            assert_allclose(*entropies, rtol=0, atol=1e-12)
+            values, grads = objective(np.array([*np.eye(3), 2 * sphere, -1.5 * sphere]))
+            assert np.array_equal(values, np.zeros(5))
+            assert np.array_equal(grads, np.zeros((5, 3)))
 
             # I_c(rho) <= S(rho) <= 1; a noiseless channel reads 1 up to rounding.
             res = quantum_capacity(fixed)
@@ -774,7 +821,7 @@ class TestBlochObjective:
             )
             assert quantum_capacity(mixed).value == pytest.approx(res.value, abs=1e-9)
 
-    @pytest.mark.parametrize("radius", [1.0, 2.0])
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize(
         "make", [identity_channel, lambda: bit_flip(0.0)], ids=["identity", "bitflip0"]
     )
@@ -848,20 +895,20 @@ class TestLockstep:
 
     @staticmethod
     def _counting(monkeypatch):
-        """Patch ``_objective`` to record the rows of each call of the objective."""
-        objective, rows = infotheory._objective, []
+        """Patch ``_objective`` to record the stacked points of each call of the objective."""
+        objective, calls = infotheory._objective, []
 
         def counting_objective(ch):
             fun = objective(ch)
 
             def counted(xs):
-                rows.append(len(xs))
+                calls.append(xs.copy())
                 return fun(xs)
 
             return counted
 
         monkeypatch.setattr(infotheory, "_objective", counting_objective)
-        return rows
+        return calls
 
     @staticmethod
     def _live_per_round(nfev):
@@ -876,24 +923,29 @@ class TestLockstep:
             stacks.append(len(a))
             return eigh(a)
 
-        rows, recorded = self._counting(monkeypatch), self._recording(monkeypatch)
+        calls, recorded = self._counting(monkeypatch), self._recording(monkeypatch)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         res = quantum_capacity(fixed)
         (runs,) = recorded
         nfev = [run.nfev for run in runs]
+        rows = [len(xs) for xs in calls]
         assert rows == self._live_per_round(nfev)
-        # One stack for the output map, one for the environment map.
-        assert stacks == [k for k in rows for _ in range(2)]
-        assert res.evaluations == sum(nfev) == sum(rows)
+        # One stack for the output map and one for the environment map, of the
+        # round's points inside the ball; a round with none makes no eigh call.
+        inside = [int(np.sum((xs * xs).sum(axis=1) < 1.0)) for xs in calls]
+        assert 0 in inside and any(0 < k < n for k, n in zip(inside, rows))
+        assert stacks == [k for k in inside if k for _ in range(2)]
+        # Every point counts as an evaluation, eigendecomposed or not.
+        assert res.evaluations == sum(nfev) == sum(rows) > sum(inside)
 
     def test_blocks_bound_the_stack(self, monkeypatch):
         block = infotheory._BLOCK
         cfg = OptimizerConfig(restarts=2 * block + 1)
         fixed = build_fixed(SupermapKind.SWITCH, Family.BIT_FLIP, 0.3)
-        rows, recorded = self._counting(monkeypatch), self._recording(monkeypatch)
+        calls, recorded = self._counting(monkeypatch), self._recording(monkeypatch)
         res = quantum_capacity(fixed, cfg)
         (runs,) = recorded
-        nfev = [run.nfev for run in runs]
+        nfev, rows = [run.nfev for run in runs], [len(xs) for xs in calls]
         assert len(runs) == cfg.restarts
         blocks = [nfev[first : first + block] for first in range(0, len(nfev), block)]
         assert rows == [k for part in blocks for k in self._live_per_round(part)]
