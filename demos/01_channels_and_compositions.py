@@ -39,17 +39,17 @@ sw = switch(bf, pf)
 print(f"switch of a bit-flip and a phase-flip channel: {sw.n_kraus} Kraus operators")
 print("composite space is control (x) target, dims", sw.input_dims)
 
-fixed = fix_control(sw)  # control at |+>
+fixed = fix_control(sw)  # default control: the uniform ket |+>
 out = apply(fixed, ket0)
 print("output with the control in |+> (4x4, control kept):")
 print(out.real)
 
 print("\nWith a classical control the switch is just sequential composition:")
-ket0_ctrl = np.diag([1.0, 0.0]).astype(complex)
-ket1_ctrl = np.diag([0.0, 1.0]).astype(complex)
-forward = partial_trace(apply(fix_control(sw, ket0_ctrl), ket0), (2, 2), keep=[1])
-print("control |0>: target marginal equals phase_flip(bit_flip(rho)):")
-print(forward.real, "=", apply(pf, apply(bf, ket0)).real)
+# A control is a ket of amplitudes over the control basis, here |0> and |1>.
+for control, first, second in (((1, 0), bf, pf), ((0, 1), pf, bf)):
+    marginal = partial_trace(apply(fix_control(sw, control), ket0), (2, 2), keep=[1])
+    print(f"control {control}: target marginal equals {second.label}({first.label}(rho)):")
+    print(marginal.real, "=", apply(second, apply(first, ket0)).real)
 
 print("\n--- coherent superposition of paths --------------------------")
 amps = (1 / np.sqrt(2), 1 / np.sqrt(2))

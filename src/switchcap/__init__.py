@@ -16,7 +16,6 @@ from .channels import (
     concentrated_amplitudes,
     depolarizing,
     identity_channel,
-    normalized_amplitudes,
     pauli,
     phase_flip,
     vacuum_extend,
@@ -40,7 +39,7 @@ from .oracle import (
     effective_flip_probability,
     list_available,
 )
-from .qmatrix import eig_hermitian, partial_trace, plus_state, von_neumann_entropy
+from .qmatrix import eig_hermitian, partial_trace, von_neumann_entropy
 from .supermaps import SupermapKind, coherent_superposition, fix_control, switch
 
 __version__ = "0.1.0"
@@ -56,7 +55,6 @@ __all__ = [
     "identity_channel",
     "vacuum_extend",
     "completeness_defect",
-    "normalized_amplitudes",
     "concentrated_amplitudes",
     "SupermapKind",
     "switch",
@@ -84,5 +82,4 @@ __all__ = [
     "partial_trace",
     "eig_hermitian",
     "von_neumann_entropy",
-    "plus_state",
 ]

@@ -17,13 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmatrix import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_complex_matrix
+from .qmatrix import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_complex_matrix, unit_vector
 
 __all__ = [
     "Channel",
     "VacuumExtendedChannel",
     "COMPLETENESS_TOL",
-    "AMPLITUDE_TOL",
     "bit_flip",
     "phase_flip",
     "pauli",
@@ -32,15 +31,12 @@ __all__ = [
     "apply",
     "complementary_output",
     "completeness_defect",
-    "normalized_amplitudes",
     "concentrated_amplitudes",
     "vacuum_extend",
 ]
 
 #: Max-abs deviation allowed for ``sum K^dag K`` from the identity.
 COMPLETENESS_TOL = 1e-10
-#: Max deviation allowed for ``sum |gamma_i|^2`` from 1.
-AMPLITUDE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,24 +202,6 @@ def completeness_defect(ch: Channel) -> float:
     return float(np.max(np.abs(rows.conj().T @ rows - np.eye(ch.d_in))))
 
 
-def normalized_amplitudes(amps: Sequence[complex], n_kraus: int) -> np.ndarray:
-    """Validate a vacuum-amplitude vector and return it as a read-only array.
-
-    The length must be ``n_kraus`` and the squared magnitudes must sum to 1
-    within ``AMPLITUDE_TOL``.
-    """
-    arr = np.asarray(amps, dtype=complex).ravel().copy()
-    if arr.size != n_kraus:
-        raise ValueError(
-            f"expected {n_kraus} vacuum amplitudes (one per Kraus operator), got {arr.size}"
-        )
-    norm = float(np.sum(np.abs(arr) ** 2))
-    if not abs(norm - 1.0) <= AMPLITUDE_TOL:
-        raise ValueError(f"vacuum amplitudes have squared norm {norm}, expected 1")
-    arr.setflags(write=False)
-    return arr
-
-
 def concentrated_amplitudes(n: int) -> np.ndarray:
     """Default vacuum amplitudes ``(1, 0, ..., 0)`` of length ``n``."""
     arr = np.zeros(n, dtype=complex)
@@ -240,23 +218,24 @@ class VacuumExtendedChannel:
     ``d_in + 1`` dimensions, the appended last basis vector being the
     vacuum; :func:`~switchcap.supermaps.coherent_superposition` reads
     ``base`` and ``amps`` without building them. The amplitudes
-    ``gamma_i`` satisfy ``sum |gamma_i|^2 = 1``.
+    ``gamma_i``, one per Kraus operator, form a unit vector
+    (:func:`~switchcap.qmatrix.unit_vector`), stored read-only.
     """
 
     base: Channel
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = normalized_amplitudes(self.amps, self.base.n_kraus)
-        object.__setattr__(self, "amps", amps)
+        what = "vacuum amplitudes (one per Kraus operator)"
+        object.__setattr__(self, "amps", unit_vector(self.amps, self.base.n_kraus, what))
 
 
 def vacuum_extend(ch: Channel, amps: Sequence[complex]) -> VacuumExtendedChannel:
     """Attach vacuum amplitudes to a channel, one per Kraus operator.
 
     Raises ``ValueError`` when the amplitude vector has the wrong length
-    or deviates from unit norm by more than ``AMPLITUDE_TOL``.
+    or its squared norm differs from 1 by more than ``HERMITIAN_TOL``.
     """
     if ch.d_in != ch.d_out:
         raise ValueError("only square channels can be vacuum extended")
-    return VacuumExtendedChannel(ch, np.asarray(amps, dtype=complex))
+    return VacuumExtendedChannel(ch, amps)

@@ -49,6 +49,7 @@ from .qmatrix import (
     SIGMA_Z,
     assert_density_matrix,
     partial_trace,
+    unit_vector,
     von_neumann_entropy,
 )
 
@@ -69,6 +70,9 @@ __all__ = [
 _GRADIENT_TOL = 1e-8
 #: Most slope evaluations of a classical solve, and BFGS iterations of a quantum run.
 _MAX_ITERATIONS = 400
+#: Relative decrease, ``-g . p <= _DECREASE_FLOOR * max(1, |f|)``, below which a
+#: BFGS step is lost in the rounding of ``f`` and the run stops as a success.
+_DECREASE_FLOOR = 1e-14
 #: Eigenvalues at or below this drop out of the entropy and its gradient.
 _SPECTRUM_FLOOR = 1e-15
 #: ``sigma_mu / 2`` for ``mu = 0..3``: a qubit state is ``[0] + r . [1:]``.
@@ -77,43 +81,25 @@ _PAULI_HALVES = np.stack([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]) / 2
 _BLOCK = 32
 
 
-def _pure_state(rho) -> np.ndarray:
-    """``rho`` checked as a pure density matrix, as a read-only copy."""
-    rho = assert_density_matrix(rho)
-    purity = float(np.trace(rho @ rho).real)
-    if abs(purity - 1.0) > 1e-9:
-        raise ValueError(f"ensemble state has purity {purity}, expected pure")
-    frozen = rho.copy()
-    frozen.setflags(write=False)
-    return frozen
-
-
-#: ``|0><0|`` and ``|1><1|``, checked once for every computational ensemble.
-_BASIS = (_pure_state(np.diag([1.0, 0.0])), _pure_state(np.diag([0.0, 1.0])))
-
-
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """Signaling ensemble: pure states with probabilities.
 
-    ``entries`` is a sequence of ``(probability, density_matrix)`` pairs.
-    Probabilities must be non-negative and sum to 1 within 1e-10; each
-    state must be pure (``Tr(rho^2) = 1`` within 1e-9).
+    ``entries`` is a sequence of ``(probability, ket)`` pairs. Probabilities
+    must be non-negative and sum to 1 within 1e-10; the kets, all of the first
+    one's length, pass :func:`~switchcap.qmatrix.unit_vector`.
     """
 
     entries: tuple
 
     def __post_init__(self):
-        self._freeze(self.entries, _pure_state)
-
-    def _freeze(self, entries, check_state) -> None:
-        """Check each probability, pass each state through ``check_state``, store both."""
         pairs, total = [], 0.0
-        for prob, rho in entries:
+        for prob, ket in self.entries:
             prob = float(prob)
             if not -1e-12 <= prob:
                 raise ValueError(f"negative ensemble probability {prob}")
-            pairs.append((max(prob, 0.0), check_state(rho)))
+            dim = len(pairs[0][1]) if pairs else len(np.atleast_1d(ket))
+            pairs.append((max(prob, 0.0), unit_vector(ket, dim, "ensemble state amplitudes")))
             total += prob
         if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"ensemble probabilities sum to {total}, expected 1")
@@ -121,10 +107,8 @@ class Ensemble:
 
     @staticmethod
     def computational(weight: float = 0.5) -> "Ensemble":
-        """Two-state qubit ensemble ``{(w, |0>), (1-w, |1>)}``; only ``w`` is checked."""
-        ens = object.__new__(Ensemble)
-        ens._freeze(zip((weight, 1.0 - weight), _BASIS), lambda rho: rho)
-        return ens
+        """Two-state qubit ensemble ``{(w, |0>), (1-w, |1>)}``."""
+        return Ensemble(((weight, (1.0, 0.0)), (1.0 - weight, (0.0, 1.0))))
 
 
 @dataclass(frozen=True)
@@ -170,14 +154,11 @@ class CapacityResult:
 def holevo_information(ch: Channel, ens: Ensemble) -> float:
     """Holevo information of an ensemble sent through a channel.
 
-    Computes ``S(sum_i p_i E(rho_i)) - sum_i p_i S(E(rho_i))`` on the
-    channel outputs. Result lies in ``[0, log2 d_out]``.
+    Computes ``S(sum_i p_i E(rho_i)) - sum_i p_i S(E(rho_i))`` on the channel
+    outputs, ``rho_i = |psi_i><psi_i|``. Result lies in ``[0, log2 d_out]``.
     """
-    outputs = []
-    probs = []
-    for prob, rho in ens.entries:
-        outputs.append(apply(ch, rho))
-        probs.append(prob)
+    probs = [prob for prob, _ in ens.entries]
+    outputs = [apply(ch, np.outer(ket, ket.conj())) for _, ket in ens.entries]
     average = sum(p * out for p, out in zip(probs, outputs))
     chi = von_neumann_entropy(average) - sum(
         p * von_neumann_entropy(out) for p, out in zip(probs, outputs)
@@ -360,13 +341,17 @@ def _bfgs(x: np.ndarray, gtol: float, maxiter: int):
     Armijo condition holds; a step below ``1e-6`` fails the run. The inverse
     Hessian ``h`` takes the BFGS update whenever the curvature ``y . s`` is
     positive. Succeeds when the max-abs gradient reaches ``gtol`` within
-    ``maxiter`` iterations.
+    ``maxiter`` iterations, or once the decrease ``-g . p`` a step predicts is
+    at most ``_DECREASE_FLOOR * max(1, |f|)``, 1e-14 relative, where the Armijo
+    test could fail on the rounding of ``f`` alone.
     """
     f, g = yield x
     nfev, nit, h = 1, 0, np.eye(len(x))
     while np.abs(g).max() > gtol and nit < maxiter:
         p = -h @ g
         slope = float(g @ p)
+        if -slope <= _DECREASE_FLOOR * max(1.0, abs(f)):
+            break
         step = 1.0
         while step >= 1e-6:
             f_new, g_new = yield x + step * p

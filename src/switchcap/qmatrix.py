@@ -27,7 +27,7 @@ __all__ = [
     "von_neumann_entropy",
     "entropy_of_spectrum",
     "assert_density_matrix",
-    "plus_state",
+    "unit_vector",
 ]
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -153,7 +153,20 @@ def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def plus_state(n_qubits: int = 1) -> np.ndarray:
-    """Density matrix of ``|+>^n``, the uniform-superposition control state."""
-    dim = 2**n_qubits
-    return np.full((dim, dim), 1.0 / dim, dtype=complex)
+def unit_vector(v, dim: int, what: str) -> np.ndarray:
+    """``v`` as a read-only complex ket of shape ``(dim,)`` and squared norm 1.
+
+    Every pure state enters the package here. The squared norm must be 1
+    within ``HERMITIAN_TOL``, which NaN and Inf fail. ``what`` names the
+    vector in errors; only the length error keeps a trailing ``(...)``
+    saying what ``dim`` counts.
+    """
+    ket = np.array(v, dtype=complex)
+    if ket.shape != (dim,):
+        got = len(ket) if ket.ndim == 1 else f"shape {ket.shape}"
+        raise ValueError(f"expected {dim} {what}, got {got}")
+    norm = float(np.sum(np.abs(ket) ** 2))
+    if not abs(norm - 1.0) <= HERMITIAN_TOL:
+        raise ValueError(f"{what.split(' (')[0]} have squared norm {norm}, expected 1")
+    ket.setflags(write=False)
+    return ket

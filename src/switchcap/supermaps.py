@@ -22,16 +22,17 @@ target`` with any outer control first, so a controlled operator
 block index of a direct sum is the control basis index. The control
 qubit of branch order "first argument first" is ``|0>``.
 
-``fix_control`` freezes the control factors at a pure state, yielding a
-rectangular-Kraus channel from the bare target space to the full output
-space, which is what the capacity optimizers consume. It returns at most
-``d_in * d_out`` Kraus operators (16 for a nested composition over qubits,
-whatever the composed count). Only this fixed channel is compressed: a
-composition built from vacuum-extended channels depends on their Kraus
-representation, not only on the channels (Chiribella & Kristjansson 2019,
-"Quantum Shannon theory with superpositions of trajectories"), so the
-composed channels keep every operator. The fixed channel is rectangular,
-so it cannot be vacuum extended or composed further.
+``fix_control`` freezes the control factors at a ket, uniform by default,
+yielding a rectangular-Kraus channel from the bare target space to the
+full output space, which is what the capacity optimizers consume. It
+returns at most ``d_in * d_out`` Kraus operators (16 for a nested
+composition over qubits, whatever the composed count). Only this fixed
+channel is compressed: a composition built from vacuum-extended channels
+depends on their Kraus representation, not only on the channels
+(Chiribella & Kristjansson 2019, "Quantum Shannon theory with
+superpositions of trajectories"), so the composed channels keep every
+operator. The fixed channel is rectangular, so it cannot be vacuum
+extended or composed further.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .channels import Channel, VacuumExtendedChannel
-from .qmatrix import assert_density_matrix, plus_state
+from .qmatrix import unit_vector
 
 __all__ = [
     "SupermapKind",
@@ -168,27 +169,13 @@ def coherent_superposition(
     )
 
 
-def _pure_control_vector(control: np.ndarray, dim: int) -> np.ndarray:
-    shape = np.shape(control)
-    if shape != (dim, dim):
-        raise ValueError(f"control state of shape {shape} does not match control dim {dim}")
-    try:
-        control = assert_density_matrix(control)
-    except ValueError as exc:
-        raise ValueError(f"control is not a valid density matrix: {exc}") from None
-    eigvals, eigvecs = np.linalg.eigh(control)
-    if eigvals[-1] < 1.0 - 1e-10:
-        raise ValueError("control state must be pure")
-    return eigvecs[:, -1]
-
-
 def fix_control(ch: Channel, control: Optional[np.ndarray] = None) -> Channel:
     """Freeze the control factors of a composed channel at a pure state.
 
     Returns the channel from the bare target space to the full output
     space, with Kraus operators ``A = M (|c> (x) I_target)``. The control
-    defaults to the uniform superposition ``|+...+>`` over the control
-    factors; a mixed control is rejected.
+    ``|c>`` is a ket over the control factors, checked by ``unit_vector``;
+    by default every amplitude is ``d_control ** -0.5`` (``|+...+>`` on qubits).
 
     When there are more than ``d_in * d_out`` operators ``A_a``, they are
     replaced by exactly ``d_in * d_out`` operators with the same Gram
@@ -202,11 +189,8 @@ def fix_control(ch: Channel, control: Optional[np.ndarray] = None) -> Channel:
     d_target = ch.input_dims[-1]
     d_control = ch.d_in // d_target
     if control is None:
-        n_qubits = len(ch.input_dims) - 1
-        if 2**n_qubits != d_control:
-            raise ValueError("default control requires qubit control factors")
-        control = plus_state(n_qubits)
-    cvec = _pure_control_vector(control, d_control)
+        control = np.full(d_control, d_control**-0.5)
+    cvec = unit_vector(control, d_control, "control amplitudes")
     embed = np.kron(cvec.reshape(-1, 1), np.eye(d_target, dtype=complex))
     n, d_out, _ = ch.stacked.shape
     kraus = (ch.stacked.reshape(-1, ch.d_in) @ embed).reshape(n, d_out, d_target)

@@ -16,6 +16,12 @@ def projector(vec):
     return np.outer(v, v.conj())
 
 
+def plus_state(n_qubits=1):
+    """Density matrix of ``|+>^n``, the default control of ``fix_control`` on qubits."""
+    dim = 2**n_qubits
+    return np.full((dim, dim), 1.0 / dim, dtype=complex)
+
+
 def direct_sum(a, b):
     """Block-diagonal matrix ``diag(a, b)`` with exactly zero off-diagonal blocks."""
     a = np.asarray(a, dtype=complex)
@@ -31,13 +37,6 @@ def random_density(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho)
-
-
-def random_pure(rng, dim):
-    """Random pure-state density matrix."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
 
 
 def random_unitary(rng, dim):

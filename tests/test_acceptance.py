@@ -10,7 +10,7 @@ import functools
 import numpy as np
 import pytest
 
-from _helpers import projector, random_density, random_unitary
+from _helpers import plus_state, random_density, random_unitary
 from switchcap.channels import (
     apply,
     bit_flip,
@@ -22,7 +22,7 @@ from switchcap.cli import main as cli_main
 from switchcap.configs import Family, build_fixed, build_supermap
 from switchcap.infotheory import OptimizerConfig, classical_capacity, quantum_capacity
 from switchcap.oracle import CapacityType, ClosedFormId, closed_form, list_available
-from switchcap.qmatrix import partial_trace, plus_state, von_neumann_entropy
+from switchcap.qmatrix import partial_trace, von_neumann_entropy
 from switchcap.supermaps import SupermapKind, fix_control, switch
 
 GRID = [float(p) for p in np.linspace(0.0, 1.0, 21)]
@@ -263,8 +263,8 @@ def test_criterion_6_structural_suite():
             assert np.trace(w).real == pytest.approx(1.0, abs=1e-10)
 
     # classical control states reduce to sequential composition
-    ket0 = projector(np.array([1, 0], dtype=complex))
-    ket1 = projector(np.array([0, 1], dtype=complex))
+    ket0 = np.array([1, 0], dtype=complex)
+    ket1 = np.array([0, 1], dtype=complex)
     e1, e2 = bit_flip(0.3), phase_flip(0.45)
     state = random_density(rng, 2)
     forward = partial_trace(

@@ -222,6 +222,16 @@ class TestValidate:
         )
         assert code == 3
 
+    def test_every_closed_form_within_1e_14_on_21_points(self, tmp_path, capsys):
+        # The figure README quotes: at the default optimizer settings every one
+        # of the 29 closed forms matches its capacity to 1e-14 at p = 0, 0.05, ..., 1.
+        out = tmp_path / "report.csv"
+        assert main(["validate", "--p-steps", "21", "--tol", "1e-14", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 29
+        assert all(row.endswith(",true") for row in rows)
+        assert capsys.readouterr().out.endswith("(tolerance 1e-14) -> ok\n")
+
     def test_empty_grid_is_usage_error(self):
         assert main(["validate", "--p-steps", "0"]) == 1
 

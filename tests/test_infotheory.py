@@ -13,7 +13,7 @@ from _helpers import (
     projector,
     random_channel,
     random_density,
-    random_pure,
+    random_unit_vector,
     stinespring_marginals,
     uncompressed_fixed,
 )
@@ -51,8 +51,10 @@ from switchcap.qmatrix import (
 )
 from switchcap.supermaps import SupermapKind, coherent_superposition, fix_control, switch
 
-KET0 = projector(np.array([1, 0], dtype=complex))
-KET1 = projector(np.array([0, 1], dtype=complex))
+ZERO = np.array([1, 0], dtype=complex)
+ONE = np.array([0, 1], dtype=complex)
+KET0 = projector(ZERO)
+KET1 = projector(ONE)
 
 FAST = OptimizerConfig(restarts=4, seed=99)
 
@@ -162,44 +164,48 @@ class TestEnsemble:
 
     def test_rejects_unnormalized_probabilities(self):
         with pytest.raises(ValueError, match="sum"):
-            Ensemble(((0.6, KET0), (0.6, KET1)))
+            Ensemble(((0.6, ZERO), (0.6, ONE)))
 
     def test_rejects_nan_probabilities(self):
         with pytest.raises(ValueError, match="negative ensemble probability nan"):
             Ensemble.computational(float("nan"))
         with pytest.raises(ValueError, match="negative ensemble probability nan"):
-            Ensemble(((float("nan"), KET0), (0.5, KET1)))
+            Ensemble(((float("nan"), ZERO), (0.5, ONE)))
 
     def test_rejects_mixed_states(self):
-        with pytest.raises(ValueError, match="pur"):
-            Ensemble(((1.0, np.eye(2) / 2),))
+        # A density matrix, pure or not, is not a ket.
+        shape = r"expected 2 ensemble state amplitudes, got shape \(2, 2\)"
+        for rho in (np.eye(2) / 2, KET0):
+            with pytest.raises(ValueError, match=shape):
+                Ensemble(((1.0, rho),))
+        with pytest.raises(ValueError, match="ensemble state amplitudes have squared norm 2.0"):
+            Ensemble(((1.0, (1.0, 1.0)),))
 
     def test_rejects_non_finite_states(self):
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            Ensemble(((1.0, np.array([[1.0, np.nan], [0.0, 0.0]])),))
+        with pytest.raises(ValueError, match="squared norm nan"):
+            Ensemble(((1.0, np.array([1.0, np.nan])),))
+        with pytest.raises(ValueError, match="squared norm inf"):
+            Ensemble(((1.0, np.array([np.inf, 0.0])),))
+
+    def test_kets_share_one_length(self):
+        with pytest.raises(ValueError, match="expected 2 ensemble state amplitudes, got 3"):
+            Ensemble(((0.5, ZERO), (0.5, (0.0, 0.0, 1.0))))
 
     def test_each_state_is_coerced_and_scanned_once(self, monkeypatch):
         calls = []
-        coerce = qmatrix.as_complex_matrix
-        counted = lambda a: calls.append(1) or coerce(a)  # noqa: E731
-        monkeypatch.setattr(qmatrix, "as_complex_matrix", counted)
-        monkeypatch.setattr(infotheory, "as_complex_matrix", counted, raising=False)
-        Ensemble(((0.3, KET0), (0.7, KET1)))
+        check = qmatrix.unit_vector
+        counted = lambda *args: calls.append(1) or check(*args)  # noqa: E731
+        monkeypatch.setattr(infotheory, "unit_vector", counted)
+        Ensemble(((0.3, ZERO), (0.7, ONE)))
         assert len(calls) == 2
 
-    def test_computational_checks_only_the_weight(self, monkeypatch):
-        # The basis projectors are checked once, at import.
-        calls = []
-        coerce = qmatrix.as_complex_matrix
-        counted = lambda a: calls.append(1) or coerce(a)  # noqa: E731
-        monkeypatch.setattr(qmatrix, "as_complex_matrix", counted)
+    def test_computational_checks_only_the_weight(self):
         ens = Ensemble.computational(0.3)
-        assert calls == []
-        reference = Ensemble(((0.3, KET0), (0.7, KET1)))
-        for (p, rho), (q, sigma) in zip(ens.entries, reference.entries, strict=True):
+        reference = Ensemble(((0.3, ZERO), (0.7, ONE)))
+        for (p, ket), (q, ref) in zip(ens.entries, reference.entries, strict=True):
             assert p == q
-            assert np.array_equal(rho, sigma)
-            assert not rho.flags.writeable
+            assert np.array_equal(ket, ref)
+            assert not ket.flags.writeable
         for weight, bad in [(-0.5, -0.5), (1.5, 1.0 - 1.5)]:
             with pytest.raises(ValueError, match=f"negative ensemble probability {bad}"):
                 Ensemble.computational(weight)
@@ -224,7 +230,7 @@ class TestHolevoInformation:
         assert chi == pytest.approx(1.0, abs=1e-12)
 
     def test_single_state_ensemble_is_zero(self):
-        ens = Ensemble(((1.0, KET0),))
+        ens = Ensemble(((1.0, ZERO),))
         assert holevo_information(bit_flip(0.3), ens) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
@@ -252,7 +258,7 @@ class TestHolevoInformation:
         rng = np.random.default_rng(12)
         for _ in range(20):
             ch = depolarizing(rng.uniform(0, 1))
-            states = [random_pure(rng, 2) for _ in range(3)]
+            states = [random_unit_vector(rng, 2) for _ in range(3)]
             probs = rng.dirichlet(np.ones(3))
             ens = Ensemble(tuple(zip(probs, states)))
             chi = holevo_information(ch, ens)
@@ -641,6 +647,21 @@ class TestOptimizerBehaviour:
             assert res.converged == converged
         assert not any(r.success for r in runs)
 
+    def test_no_restart_fails_on_rounding(self, monkeypatch):
+        # One restart here reaches |x| = 1.8e-8 with a gradient just above 1e-8,
+        # where the decrease a step predicts is below the rounding of I_c. It
+        # used to halve its step to 1e-6 on rounding alone and fail after 88
+        # evaluations, at the value its siblings reached in 8.
+        runs = []
+        lockstep = infotheory._lockstep
+        monkeypatch.setattr(
+            infotheory, "_lockstep", lambda *args: runs.extend(lockstep(*args)) or runs
+        )
+        res = quantum_capacity(build_fixed(SupermapKind.COH_OF_COH, Family.MIXED_ALTERNATING, 0.1))
+        assert len(runs) == 6
+        assert [r.success for r in runs] == [True] * 6
+        assert res.converged and res.evaluations <= 40
+
     def test_quantum_argmax_reproduces_raw_value(self):
         # The optimizer sees the compressed fixed channel; its argmax must
         # reach the same value on the 256-operator uncompressed one.
@@ -753,6 +774,17 @@ class TestSolvers:
         res = self._bfgs(fun, minimum, 1e-8, 400)
         assert (res.nit, res.nfev, res.success) == (0, 1, True)
         assert np.array_equal(res.x, minimum)
+
+    def test_bfgs_stops_where_the_predicted_decrease_is_rounding(self):
+        # At f = 1e6 a decrease of -g . p = 1e-12 is below the rounding of f,
+        # so the run stops as a success though |g| = 1e-6 is above gtol.
+        x0 = np.array([1e-6, 0.0, 0.0])
+        res = self._bfgs(lambda x: (1e6 + 0.5 * x @ x, x), x0, 1e-8, 400)
+        assert (res.nit, res.nfev, res.success) == (0, 1, True)
+        assert np.array_equal(res.x, x0)
+        # At f near 0 the same gradient is no rounding, and the run steps on.
+        res = self._bfgs(lambda x: (0.5 * x @ x, x), x0, 1e-8, 400)
+        assert (res.nit, res.nfev, res.success) == (1, 2, True)
 
     def test_bfgs_fails_when_iterations_run_out(self):
         # Rosenbrock's function in three variables: no single step reaches gtol.

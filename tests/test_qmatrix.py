@@ -11,6 +11,7 @@ from switchcap.qmatrix import (
     eig_hermitian,
     entropy_of_spectrum,
     partial_trace,
+    unit_vector,
     von_neumann_entropy,
 )
 
@@ -160,3 +161,46 @@ class TestDensityValidation:
     def test_rejects_invalid(self, rho, message):
         with pytest.raises(ValueError, match=message):
             assert_density_matrix(rho)
+
+
+class TestUnitVector:
+    def test_returns_a_read_only_complex_copy(self):
+        source = [0.6, 0.8]
+        ket = unit_vector(source, 2, "amplitudes")
+        assert ket.dtype == complex and not ket.flags.writeable
+        assert ket.tolist() == [0.6, 0.8]
+        array = np.array([1.0, 0.0])
+        assert not np.shares_memory(unit_vector(array, 2, "amplitudes"), array)
+
+    def test_norm_tolerance_is_hermitian_tol(self):
+        unit_vector([np.sqrt(1 + 0.5e-10), 0.0], 2, "amplitudes")
+        with pytest.raises(ValueError, match="amplitudes have squared norm 1.0000000002"):
+            unit_vector([np.sqrt(1 + 2e-10), 0.0], 2, "amplitudes")
+
+    @pytest.mark.parametrize(
+        ("v", "message"),
+        [
+            ([np.nan, 0.0], "squared norm nan"),
+            ([np.inf, 0.0], "squared norm inf"),
+            ([1j * np.inf, 0.0], "squared norm inf"),
+            ([0.0, 0.0], "squared norm 0.0"),
+        ],
+    )
+    def test_non_finite_and_zero_fail_the_norm(self, v, message):
+        with pytest.raises(ValueError, match=f"^amplitudes have {message}, expected 1$"):
+            unit_vector(v, 2, "amplitudes")
+
+    def test_shape_is_checked_first(self):
+        with pytest.raises(ValueError, match="^expected 2 amplitudes, got 3$"):
+            unit_vector([1.0, 1.0, 1.0], 2, "amplitudes")
+        with pytest.raises(ValueError, match=r"^expected 2 amplitudes, got shape \(2, 2\)$"):
+            unit_vector(np.eye(2), 2, "amplitudes")
+        with pytest.raises(ValueError, match=r"^expected 1 amplitudes, got shape \(\)$"):
+            unit_vector(1.0, 1, "amplitudes")
+
+    def test_parenthetical_only_in_the_length_error(self):
+        what = "vacuum amplitudes (one per Kraus operator)"
+        with pytest.raises(ValueError, match=r"^expected 4 vacuum amplitudes \(one per Kraus"):
+            unit_vector([1.0, 0.0], 4, what)
+        with pytest.raises(ValueError, match="^vacuum amplitudes have squared norm 2.0, expected 1$"):
+            unit_vector([1.0, 1.0], 2, what)

@@ -1,15 +1,18 @@
 import operator
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from _helpers import (
     channel_pairs_and_states,
     direct_sum,
     eligible_families,
-    projector,
+    plus_state,
     random_channel,
     random_density,
     random_unit_vector,
@@ -27,7 +30,7 @@ from switchcap.channels import (
 )
 from switchcap.configs import Family, build_fixed, build_supermap, family_channels
 from switchcap.infotheory import coherent_information, exchange_entropy
-from switchcap.qmatrix import partial_trace, plus_state
+from switchcap.qmatrix import partial_trace
 from switchcap.supermaps import (
     SupermapKind,
     coherent_superposition,
@@ -36,8 +39,8 @@ from switchcap.supermaps import (
     switch,
 )
 
-KET0 = projector(np.array([1, 0], dtype=complex))
-KET1 = projector(np.array([0, 1], dtype=complex))
+KET0 = np.array([1, 0], dtype=complex)
+KET1 = np.array([0, 1], dtype=complex)
 
 ALL_KINDS = list(SupermapKind)
 
@@ -302,30 +305,75 @@ class TestFixControl:
             joint = np.kron(plus_state(n_ctrl), rho)
             assert_allclose(apply(fixed, rho), apply(raw, joint), atol=1e-12)
 
+    @settings(derandomize=True, deadline=None)
+    @given(
+        case=st.sampled_from([(k, f) for k in ALL_KINDS for f in eligible_families(k)]),
+        p=st.floats(0, 1),
+        parts=arrays(np.float64, (2, 4), elements=st.floats(-1, 1)),
+    )
+    def test_any_pure_control_equals_joint_application(self, case, p, parts):
+        raw = build_supermap(*case, p)
+        d_control = raw.d_in // 2
+        c = parts[0, :d_control] + 1j * parts[1, :d_control]
+        assume(np.linalg.norm(c) > 1e-3)
+        c = c / np.linalg.norm(c)
+        rho = random_density(np.random.default_rng(5), 2)
+        joint = np.kron(np.outer(c, c.conj()), rho)
+        assert_allclose(apply(fix_control(raw, c), rho), apply(raw, joint), rtol=0, atol=1e-12)
+
+    def test_default_control_is_uniform_for_any_control_dimension(self):
+        # Three channels in the cyclic orders abc, bca and cab, chosen by a qutrit
+        # control; its default is the uniform ket 3 ** -0.5 (1, 1, 1).
+        rng = np.random.default_rng(6)
+        a, b, c = (random_channel(rng, 2, 2, n) for n in (2, 2, 3))
+        kraus = [
+            direct_sum(direct_sum(kc @ kb @ ka, ka @ kc @ kb), kb @ ka @ kc)
+            for ka in a.kraus
+            for kb in b.kraus
+            for kc in c.kraus
+        ]
+        ch = Channel(kraus, (3, 2), (3, 2))
+        fixed = fix_control(ch)
+        assert (fixed.input_dims, fixed.output_dims) == ((2,), (3, 2))
+        assert completeness_defect(fixed) <= 1e-10
+        uniform = np.full(3, 3**-0.5)
+        rho = random_density(rng, 2)
+        joint = np.kron(np.outer(uniform, uniform), rho)
+        assert_allclose(apply(fixed, rho), apply(ch, joint), rtol=0, atol=1e-12)
+        orders = [(a, b, c), (b, c, a), (c, a, b)]
+        sequential = [apply(z, apply(y, apply(x, rho))) for x, y, z in orders]
+        marginal = partial_trace(apply(fixed, rho), (3, 2), keep=[1])
+        assert_allclose(marginal, sum(sequential) / 3, rtol=0, atol=1e-12)
+
     def test_mixed_control_rejected(self):
         ch = switch(bit_flip(0.2), bit_flip(0.2))
-        with pytest.raises(ValueError, match="pure"):
+        with pytest.raises(ValueError, match=r"expected 2 control amplitudes, got shape \(2, 2\)"):
             fix_control(ch, np.eye(2) / 2)
 
     @pytest.mark.parametrize(
         "control,reason",
         [
-            ([[0.5, 5], [0.5, 0.5]], "Hermitian"),
-            ([[1.0, 0.0], [0.0, 1.0]], "trace"),
-            ([[1.5, 0.0], [0.0, -0.5]], "negative eigenvalue"),
-            ([[np.nan, 0.0], [0.0, 1.0]], "NaN"),
+            ([[0.5, 5], [0.5, 0.5]], "got shape (2, 2)"),
+            ([[1.0, 0.0], [0.0, 1.0]], "got shape (2, 2)"),
+            ([[1.5, 0.0], [0.0, -0.5]], "got shape (2, 2)"),
+            ([[np.nan, 0.0], [0.0, 1.0]], "got shape (2, 2)"),
+            ([1.0, 1.0], "squared norm 2.0"),
+            ([np.nan, 0.0], "squared norm nan"),
+            ([np.inf, 0.0], "squared norm inf"),
         ],
     )
     def test_invalid_control_rejected(self, control, reason):
-        # eigh reads one triangle only, so Hermiticity needs its own check.
+        # A control is a ket; matrices, valid density matrices or not, are refused.
         ch = switch(bit_flip(0.3), bit_flip(0.3))
-        with pytest.raises(ValueError, match=f"control is not a valid density matrix: .*{reason}"):
+        with pytest.raises(ValueError, match=f"control amplitudes.*{re.escape(reason)}"):
             fix_control(ch, control)
 
     def test_control_shape_checked_first(self):
         ch = switch(bit_flip(0.3), bit_flip(0.3))
-        with pytest.raises(ValueError, match=r"shape \(4, 4\) does not match control dim 2"):
+        with pytest.raises(ValueError, match=r"expected 2 control amplitudes, got shape \(4, 4\)"):
             fix_control(ch, np.eye(4) / 4)
+        with pytest.raises(ValueError, match="expected 2 control amplitudes, got 4"):
+            fix_control(ch, np.full(4, 0.5))
 
     def test_plain_channel_rejected(self):
         with pytest.raises(ValueError, match="control"):
@@ -365,7 +413,7 @@ class TestSequentialEquivalence:
         [(KET0, "forward"), (KET1, "reverse")],
     )
     def test_classical_control_reduces_to_sequential(self, control, order):
-        # Control |0><0| runs first-argument-first; |1><1| reverses it.
+        # Control |0> runs first-argument-first; |1> reverses it.
         rng = np.random.default_rng(4)
         e1, e2 = bit_flip(0.25), phase_flip(0.6)
         fixed = fix_control(switch(e1, e2), control)
