@@ -48,7 +48,8 @@ class Channel:
     kraus : sequence of ndarray
         Kraus operators, each of shape ``(d_out, d_in)``, or one
         ``(n, d_out, d_in)`` array. They are copied once into the read-only
-        array ``stacked``, and ``kraus`` becomes the tuple of its ``n`` views.
+        C-ordered array ``stacked``, and ``kraus`` becomes that same array:
+        ``kraus[i]`` is the ``i``-th operator.
     input_dims : tuple of int
         Tensor-factor dimensions of the input space. For composed
         channels the convention is control-major: control/path factors
@@ -63,7 +64,7 @@ class Channel:
     identity by more than ``COMPLETENESS_TOL`` (an empty list included).
     """
 
-    kraus: tuple
+    kraus: np.ndarray
     input_dims: tuple
     output_dims: tuple
     label: str = ""
@@ -83,13 +84,17 @@ class Channel:
         if wrong:
             raise ValueError(f"Kraus operator of shape {wrong.pop()} does not match {shape}")
         stacked = np.array(self.kraus, dtype=complex, order="C").reshape(-1, *shape)
-        if not np.isfinite(stacked).all():
-            raise ValueError("matrix contains NaN or Inf entries")
         stacked.setflags(write=False)
         object.__setattr__(self, "stacked", stacked)
-        object.__setattr__(self, "kraus", tuple(stacked))
-        defect = completeness_defect(self)
-        if defect > COMPLETENESS_TOL:
+        object.__setattr__(self, "kraus", stacked)
+        # A NaN or Inf entry makes a diagonal entry of the Gram non-finite, so
+        # the defect fails the test below and only then is finiteness checked;
+        # numpy's warnings on such entries (and on overflow) are silenced.
+        with np.errstate(invalid="ignore", over="ignore"):
+            defect = completeness_defect(self)
+        if not defect <= COMPLETENESS_TOL:
+            if not np.isfinite(stacked).all():
+                raise ValueError("matrix contains NaN or Inf entries")
             raise ValueError(f"Kraus operators violate completeness by {defect:.3e}")
 
     @property
@@ -198,8 +203,11 @@ def complementary_output(ch: Channel, rho: np.ndarray) -> np.ndarray:
 
 def completeness_defect(ch: Channel) -> float:
     """Max-abs deviation of ``sum_i K_i^dag K_i`` from the identity."""
-    rows = ch.stacked.reshape(-1, ch.d_in)
-    return float(np.max(np.abs(rows.conj().T @ rows - np.eye(ch.d_in))))
+    d = ch.d_in
+    rows = ch.stacked.reshape(-1, d)
+    gram = rows.conj().T @ rows
+    gram.reshape(-1)[:: d + 1] -= 1.0
+    return float(np.abs(gram).max())
 
 
 def concentrated_amplitudes(n: int) -> np.ndarray:

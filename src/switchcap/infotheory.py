@@ -15,11 +15,12 @@ fixed (see :func:`switchcap.supermaps.fix_control`):
   control and path factors is kept; this is what makes the result
   sensitive to the choice of vacuum amplitudes on superposed paths.
 
-The classical capacity maximizes a concave function of one weight by
-bisection on the sign of its exact slope, and needs a qubit target output
-factor. The target marginals of the two basis inputs are built and checked
-once per call; value and slope are closed-form 2 x 2 arithmetic on their
-mixture, computed on floats.
+The classical capacity maximizes a concave function of one weight by a
+Newton iteration on its exact slope and curvature, safeguarded by
+bisection on the slope's sign, and needs a qubit target output factor. The
+target marginals of the two basis inputs are built and checked once per
+call; their entropies, the value, slope and curvature are closed-form
+2 x 2 arithmetic on their mixture, computed on floats with no eigensolver.
 
 Coherent information is not concave, so ``quantum_capacity`` runs a
 multistart BFGS with a backtracking line search over the Bloch ball: a
@@ -33,6 +34,7 @@ round with one eigendecomposition per map of its points inside the ball.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -43,6 +45,7 @@ import numpy as np
 from .channels import Channel, apply, complementary_output
 from .qmatrix import (
     EIGENVALUE_FLOOR,
+    HERMITIAN_TOL,
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Y,
@@ -73,6 +76,8 @@ _MAX_ITERATIONS = 400
 #: Relative decrease, ``-g . p <= _DECREASE_FLOOR * max(1, |f|)``, below which a
 #: BFGS step is lost in the rounding of ``f`` and the run stops as a success.
 _DECREASE_FLOOR = 1e-14
+#: ``ln 2``, for derivatives of ``log2``.
+_LN2 = math.log(2.0)
 #: Eigenvalues at or below this drop out of the entropy and its gradient.
 _SPECTRUM_FLOOR = 1e-15
 #: ``sigma_mu / 2`` for ``mu = 0..3``: a qubit state is ``[0] + r . [1:]``.
@@ -185,79 +190,118 @@ def target_marginal(ch: Channel, rho: np.ndarray) -> np.ndarray:
     return partial_trace(out, ch.output_dims, keep=[len(ch.output_dims) - 1])
 
 
+def _qubit_entries(m: np.ndarray) -> tuple:
+    """``(a, d, b)`` of a 2 x 2 matrix ``[[a, .], [b, d]]``, ``a`` and ``d`` real.
+
+    Rejects ``m`` as :func:`von_neumann_entropy` does, with its messages,
+    unless its entries are finite and it is Hermitian within ``HERMITIAN_TOL``.
+    """
+    (a, c), (b, d) = m.tolist()
+    if not all(map(cmath.isfinite, (a, b, c, d))):
+        raise ValueError("matrix contains NaN or Inf entries")
+    dev = max(abs(a - a.conjugate()), abs(c - b.conjugate()), abs(d - d.conjugate()))
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+    return a.real, d.real, b
+
+
+def _qubit_entropy(a: float, d: float, b: complex) -> float:
+    """Entropy in bits of the Hermitian ``[[a, b*], [b, d]]``, from its spectrum in closed form.
+
+    The eigenvalues are ``(a + d)/2 +- R``, ``R`` the length of ``((a - d)/2,
+    Re b, Im b)``. As in :func:`entropy_of_spectrum`, one below
+    ``EIGENVALUE_FLOOR`` raises, and they are clamped to ``[0, 1]``.
+    """
+    half, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), b.real, b.imag)
+    entropy = 0.0
+    for eig in (half - radius, half + radius):
+        if eig < EIGENVALUE_FLOOR:
+            raise ValueError(f"eigenvalue {eig:.3e} below positivity floor")
+        eig = min(eig, 1.0)
+        if eig > 0.0:
+            entropy -= eig * math.log2(eig)
+    return entropy
+
+
 def _holevo_objective(ch: Channel):
-    """``w -> chi(w)`` and ``w -> chi'(w)`` for the prior ``{(w, |0>), (1-w, |1>)}``.
+    """``w -> chi(w)`` and ``w -> (chi'(w), chi''(w))`` for the prior ``{(w, |0>), (1-w, |1>)}``.
 
     chi is the Holevo information on the target marginal, which must be a
     qubit. The marginals ``m0`` and ``m1`` of the two basis inputs come from one
-    contraction over the Kraus operators and pass the checks of
-    :func:`von_neumann_entropy` (finite, Hermitian, spectrum above
-    ``EIGENVALUE_FLOOR``), which also gives their entropies ``s0`` and ``s1``.
-    Each evaluation is then closed-form arithmetic on floats: ``M(w) = w m0 +
-    (1-w) m1`` has eigenvalues ``l+- = trace/2 +- R``, ``R`` the length of its
-    half Bloch vector ``u``, so ``chi'(w) = s1 - s0 - (u . du / R) log2(l+ / l-)``
-    with ``du = u(1) - u(0)``, or ``s1 - s0`` where ``u . du = 0`` or ``l- <= 0``
-    (``m0 = m1`` pure, where chi vanishes).
+    contraction over the Kraus operators and pass :func:`_qubit_entries`.
+    Everything after is closed-form arithmetic on floats: ``M(w) = w m0 +
+    (1-w) m1`` has eigenvalues ``h +- R``, ``h`` half its trace and ``R`` the
+    length of its half Bloch vector ``u``, so ``S(M(w))`` is :func:`_qubit_entropy`,
+    whose floor check is the positivity check, and ``s0 = S(m0)``, ``s1 = S(m1)``
+    are its values at ``w = 1`` and ``w = 0``, taken once. With ``du = u(1) - u(0)``,
+    ``L = log2((h + R) / (h - R))`` and ``k = u . du / R``,
+    ``chi' = s1 - s0 - k L`` and ``chi'' = -((|du|^2 - k^2) L / R + 2 h k^2 / (ln 2 (h^2 - R^2)))``.
+    Where ``u . du = 0`` or ``h - R <= 0`` (``m0 = m1`` pure, where chi
+    vanishes), ``chi' = s1 - s0`` and ``chi''`` reads 0.
     """
     cols = ch.stacked.reshape(ch.n_kraus, -1, 2, 2)
     m0, m1 = np.einsum("arti,arui->itu", cols, cols.conj())
-    s0 = von_neumann_entropy(m0)
-    s1 = von_neumann_entropy(m1)
-    # A convex combination of the two validated states is Hermitian and
-    # finite, and its smallest eigenvalue is at least the smaller of theirs
-    # (the smallest eigenvalue is concave), so an evaluation repeats only the
-    # floor check, on two floats.
-    a0, d0, b0 = float(m0[0, 0].real), float(m0[1, 1].real), complex(m0[1, 0])
-    a1, d1, b1 = float(m1[0, 0].real), float(m1[1, 1].real), complex(m1[1, 0])
+    a0, d0, b0 = _qubit_entries(m0)
+    s0 = _qubit_entropy(a0, d0, b0)
+    a1, d1, b1 = _qubit_entries(m1)
+    s1 = _qubit_entropy(a1, d1, b1)
+    # A mixture of two states above the floor stays above it (the smallest
+    # eigenvalue is concave), so later evaluations cannot raise.
     du = (0.5 * ((a0 - d0) - (a1 - d1)), (b0 - b1).real, (b0 - b1).imag)
+    du2 = du[0] * du[0] + du[1] * du[1] + du[2] * du[2]
 
     def mixture(w: float) -> tuple:
-        """Half trace, half Bloch vector and its length ``R`` for ``M(w)``."""
+        """``(a, d, b)`` of ``M(w)``."""
         v = 1.0 - w
-        a, d, b = w * a0 + v * a1, w * d0 + v * d1, w * b0 + v * b1
-        u = (0.5 * (a - d), b.real, b.imag)
-        return 0.5 * (a + d), u, math.hypot(*u)
+        return w * a0 + v * a1, w * d0 + v * d1, w * b0 + v * b1
 
     def holevo(w: float) -> float:
-        half, _, radius = mixture(w)
-        entropy = 0.0
-        for eig in (half - radius, half + radius):
-            if eig < EIGENVALUE_FLOOR:
-                raise ValueError(f"eigenvalue {eig:.3e} below positivity floor")
-            eig = min(eig, 1.0)
-            if eig > 0.0:
-                entropy -= eig * math.log2(eig)
-        return entropy - (w * s0 + (1.0 - w) * s1)
+        return _qubit_entropy(*mixture(w)) - (w * s0 + (1.0 - w) * s1)
 
-    def slope(w: float) -> float:
-        half, u, radius = mixture(w)
+    def derivatives(w: float) -> tuple:
+        a, d, b = mixture(w)
+        half, u = 0.5 * (a + d), (0.5 * (a - d), b.real, b.imag)
+        radius = math.hypot(*u)
         dot = u[0] * du[0] + u[1] * du[1] + u[2] * du[2]
         if dot == 0.0 or half - radius <= 0.0:
-            return s1 - s0
-        return s1 - s0 - dot / radius * math.log2((half + radius) / (half - radius))
+            return s1 - s0, 0.0
+        log_ratio = math.log2((half + radius) / (half - radius))
+        k2 = (dot / radius) ** 2
+        curvature = (du2 - k2) * log_ratio / radius + 2.0 * half * k2 / (
+            _LN2 * (half - radius) * (half + radius)
+        )
+        return s1 - s0 - dot / radius * log_ratio, -curvature
 
-    return holevo, slope
+    return holevo, derivatives
 
 
 #: Where one solver run stopped: point, value, evaluations, iterations, success.
 _Run = namedtuple("_Run", "x fun nfev nit success")
 
 
-def _bisect(fun, slope, gtol: float, maxiter: int) -> _Run:
-    """Maximize a concave ``fun`` on ``[0, 1]`` by bisection on the sign of ``slope``.
+def _bisect(fun, derivatives, gtol: float, maxiter: int) -> _Run:
+    """Maximize a concave ``fun`` on ``[0, 1]``, safeguarded Newton on its slope.
 
-    Succeeds at the first midpoint where ``|slope| <= gtol``, which by concavity
-    puts ``fun`` within ``gtol`` of its maximum; fails when ``maxiter`` slope
-    evaluations run out first. ``nit`` counts slope evaluations, and ``nfev``
-    adds the one evaluation of ``fun``, at the returned point.
+    ``derivatives(x)`` gives the slope and the curvature. Each evaluation
+    shrinks the bracket ``[lo, hi]`` by the sign of the slope; the next point
+    is the Newton step ``x - slope / curvature`` when the curvature is negative
+    and the step lands strictly inside the bracket, else its midpoint. The
+    first point is ``1/2``. Succeeds at the first point where ``|slope| <= gtol``,
+    which by concavity puts ``fun`` within ``gtol`` of its maximum; fails when
+    ``maxiter`` evaluations run out first. ``nit`` counts ``derivatives``
+    evaluations, and ``nfev`` adds the one evaluation of ``fun``, at the
+    returned (last evaluated) point.
     """
-    lo, hi = 0.0, 1.0
+    lo, hi, trial = 0.0, 1.0, 0.5
     for nit in range(1, maxiter + 1):
-        x = 0.5 * (lo + hi)
-        grad = slope(x)
+        x = trial
+        grad, curvature = derivatives(x)
         if abs(grad) <= gtol:
             break
         lo, hi = (x, hi) if grad > 0.0 else (lo, x)
+        trial = x - grad / curvature if curvature < 0.0 else hi
+        if not lo < trial < hi:
+            trial = 0.5 * (lo + hi)
     return _Run(x, fun(x), nit + 1, nit, abs(grad) <= gtol)
 
 
@@ -265,10 +309,11 @@ def classical_capacity(ch: Channel) -> CapacityResult:
     """One-shot classical capacity over computational-basis signaling.
 
     Maximizes the Holevo information chi of ``{(w, |0>), (1-w, |1>)}`` on the
-    target marginal over ``w`` by bisection on the sign of its exact slope.
-    The input space and the target (last) output factor must be qubits. The
-    two target marginals are built and checked once, at entry; each
-    evaluation is closed-form 2 x 2 arithmetic on their mixture.
+    target marginal over ``w`` by a safeguarded Newton iteration on its exact
+    slope and curvature inside a bisection bracket. The input space and the
+    target (last) output factor must be qubits. The two target marginals are
+    built and checked once, at entry; their entropies and each evaluation are
+    closed-form 2 x 2 arithmetic on their mixture, with no eigensolver call.
 
     chi is concave, so ``converged`` is a certificate: the solve stopped at a
     weight where ``|chi'| <= 1e-8``, so the value is within 1e-8 bits of the

@@ -165,7 +165,7 @@ def unit_vector(v, dim: int, what: str) -> np.ndarray:
     if ket.shape != (dim,):
         got = len(ket) if ket.ndim == 1 else f"shape {ket.shape}"
         raise ValueError(f"expected {dim} {what}, got {got}")
-    norm = float(np.sum(np.abs(ket) ** 2))
+    norm = float((np.abs(ket) ** 2).sum())
     if not abs(norm - 1.0) <= HERMITIAN_TOL:
         raise ValueError(f"{what.split(' (')[0]} have squared norm {norm}, expected 1")
     ket.setflags(write=False)

@@ -191,7 +191,7 @@ def fix_control(ch: Channel, control: Optional[np.ndarray] = None) -> Channel:
     if control is None:
         control = np.full(d_control, d_control**-0.5)
     cvec = unit_vector(control, d_control, "control amplitudes")
-    embed = np.kron(cvec.reshape(-1, 1), np.eye(d_target, dtype=complex))
+    embed = (cvec[:, None, None] * np.eye(d_target, dtype=complex)).reshape(ch.d_in, d_target)
     n, d_out, _ = ch.stacked.shape
     kraus = (ch.stacked.reshape(-1, ch.d_in) @ embed).reshape(n, d_out, d_target)
     if n > d_out * d_target:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from _helpers import direct_sum, projector, random_density
+from _helpers import direct_sum, eligible_families, projector, random_density
 from switchcap.channels import (
     Channel,
     apply,
@@ -14,6 +14,7 @@ from switchcap.channels import (
     phase_flip,
     vacuum_extend,
 )
+from switchcap.configs import build_supermap
 from switchcap.qmatrix import (
     IDENTITY_2,
     SIGMA_X,
@@ -21,6 +22,7 @@ from switchcap.qmatrix import (
     SIGMA_Z,
     assert_density_matrix,
 )
+from switchcap.supermaps import SupermapKind, fix_control
 
 KET0 = projector(np.array([1, 0], dtype=complex))
 KET1 = projector(np.array([0, 1], dtype=complex))
@@ -182,6 +184,17 @@ class TestCompleteness:
         with pytest.raises(ValueError, match="completeness"):
             Channel((), (2,), (2,), label="empty")
 
+    def test_defect_equals_the_identity_formula(self):
+        channels = [make(p) for make in CATALOG for p in np.linspace(0, 1, 11)]
+        for kind in SupermapKind:
+            for family in eligible_families(kind):
+                composed = build_supermap(kind, family, 0.3)
+                channels += [composed, fix_control(composed)]
+        for ch in channels:
+            rows = ch.stacked.reshape(-1, ch.d_in)
+            reference = np.max(np.abs(rows.conj().T @ rows - np.eye(ch.d_in)))
+            assert completeness_defect(ch) == pytest.approx(reference, abs=1e-15)
+
 
 class TestChannelStorage:
     def test_kraus_are_read_only_views_of_one_array(self):
@@ -207,6 +220,39 @@ class TestChannelStorage:
         k[1, 0] = np.nan
         with pytest.raises(ValueError, match="NaN or Inf"):
             Channel((k,), (2,), (2,))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)],
+        ids=["nan", "inf", "minus_inf", "imaginary_inf", "nan_real_part"],
+    )
+    @pytest.mark.parametrize("incomplete", [False, True], ids=["complete", "incomplete"])
+    def test_non_finite_entry_is_named_before_completeness(self, entry, incomplete):
+        kraus = bit_flip(0.3).stacked.copy()
+        if incomplete:
+            kraus[1] *= 2.0
+        kraus[0, 1, 0] = entry
+        with pytest.raises(ValueError, match=r"^matrix contains NaN or Inf entries$"):
+            Channel(kraus, (2,), (2,))
+
+    def test_kraus_is_the_read_only_stacked_array(self):
+        ch = depolarizing(0.3)
+        assert ch.kraus is ch.stacked
+        assert not ch.kraus.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ch.kraus[0][0, 0] = 1.0
+
+    def test_kraus_indexes_iterates_and_stacks(self):
+        source = [np.sqrt(0.7) * IDENTITY_2, np.sqrt(0.3) * SIGMA_X]
+        ch = Channel(source, (2,), (2,))
+        assert ch.n_kraus == len(ch.kraus) == 2
+        assert_array_equal(ch.kraus[1], source[1])
+        assert_array_equal(ch.kraus[-1], source[1])
+        items = list(ch.kraus)
+        assert [k.shape for k in items] == [(2, 2), (2, 2)]
+        for k, expected in zip(items, source):
+            assert_array_equal(k, expected)
+        assert_array_equal(np.vstack(ch.kraus), np.vstack(source))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match \(2, 2\)"):

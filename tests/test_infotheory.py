@@ -382,9 +382,8 @@ class TestClassicalCapacity:
         ids=["amplitude_damping", "switch", "cohsup"],
     )
     def test_eigensolver_calls_do_not_grow_with_evaluations(self, make, monkeypatch):
-        # Two for the target marginals; the objective and its slope are
-        # closed-form arithmetic, and the returned ensemble reuses the basis
-        # states checked at import.
+        # The entropies of the target marginals, the objective and its
+        # derivatives are closed-form arithmetic; see test_no_eigensolver_call.
         ch = make()
         calls = []
         for name in ("eigvalsh", "eigh"):
@@ -397,6 +396,35 @@ class TestClassicalCapacity:
         res = classical_capacity(ch)
         assert res.evaluations > 4
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_fixed(SupermapKind.COH_OF_COH, Family.MIXED_ALTERNATING, 0.3),
+            lambda: build_fixed(SupermapKind.SWITCH, Family.DEPOLARIZING, 0.6),
+            lambda: amplitude_damping(0.7),
+        ],
+        ids=["coc_mixed_alt", "switch_depolarizing", "amplitude_damping"],
+    )
+    def test_no_eigensolver_call(self, make, monkeypatch):
+        ch = make()
+        reference = classical_capacity(ch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called on the classical path")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        res = classical_capacity(ch)
+        assert res.converged
+        assert (res.raw_value, res.evaluations) == (reference.raw_value, reference.evaluations)
+
+    @pytest.mark.parametrize("g", [0.05, 0.3, 0.7, 0.95])
+    def test_off_half_optimum_takes_few_evaluations(self, g):
+        # The Newton step on the exact curvature; bisection alone took 20-29.
+        res = classical_capacity(amplitude_damping(g))
+        assert res.converged
+        assert res.evaluations <= 7
 
     def test_dominates_uniform_signaling(self):
         for kind in ALL_KINDS:
@@ -423,8 +451,8 @@ class TestClassicalCapacity:
             assert not classical_capacity(ch).converged
         res = classical_capacity(ch)
         assert res.converged
-        _, slope = infotheory._holevo_objective(ch)
-        assert abs(slope(res.argmax.entries[0][0])) <= 1e-8
+        _, derivatives = infotheory._holevo_objective(ch)
+        assert abs(derivatives(res.argmax.entries[0][0])[0]) <= 1e-8
 
     @pytest.mark.parametrize(
         "make,expected",
@@ -506,10 +534,25 @@ class TestClosedFormObjective:
         w=st.floats(0.05, 0.95),
     )
     def test_slope_matches_central_differences(self, parts, rest, n, w):
-        holevo, slope = infotheory._holevo_objective(self._random_channel(parts, rest, n))
+        holevo, derivatives = infotheory._holevo_objective(self._random_channel(parts, rest, n))
         h = 1e-6
         central = (holevo(w + h) - holevo(w - h)) / (2 * h)
-        assert slope(w) == pytest.approx(central, abs=1e-6)
+        assert derivatives(w)[0] == pytest.approx(central, abs=1e-6)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        parts=arrays(np.float64, (2, 24, 2), elements=st.floats(-1, 1)),
+        rest=st.sampled_from([1, 2, 3]),
+        n=st.integers(1, 4),
+        w=st.floats(0.05, 0.95),
+    )
+    def test_curvature_matches_central_differences(self, parts, rest, n, w):
+        _, derivatives = infotheory._holevo_objective(self._random_channel(parts, rest, n))
+        slope, curvature = derivatives(w)
+        h = 1e-6
+        central = (derivatives(w + h)[0] - derivatives(w - h)[0]) / (2 * h)
+        assert curvature <= 0.0
+        assert curvature == pytest.approx(central, rel=1e-5, abs=1e-5)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_pure_marginals_at_zero_noise(self, kind):
@@ -522,6 +565,71 @@ class TestClosedFormObjective:
         assert_allclose(target_marginal(ch, KET0), np.eye(2) / 2, atol=1e-15)
         self._check(ch)
         assert classical_capacity(ch).value == pytest.approx(0.0, abs=1e-12)
+
+
+def _closed_form_entropy(m):
+    """Entropy of a 2 x 2 target marginal as the classical solve takes it."""
+    return infotheory._qubit_entropy(*infotheory._qubit_entries(m))
+
+
+class TestQubitSpectrum:
+    """The classical solve's closed-form ``s0``, ``s1`` and checks against ``von_neumann_entropy``."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        parts=arrays(np.float64, (2, 24, 2), elements=st.floats(-1, 1)),
+        rest=st.sampled_from([1, 2, 3]),
+        n=st.integers(1, 4),
+    )
+    def test_target_marginals(self, parts, rest, n):
+        ch = TestClosedFormObjective._random_channel(parts, rest, n)
+        for ket in (KET0, KET1):
+            m = target_marginal(ch, ket)
+            assert _closed_form_entropy(m) == pytest.approx(von_neumann_entropy(m), abs=1e-12)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        parts=arrays(np.float64, (2, 2, 2), elements=st.floats(-1, 1)),
+        pure=st.booleans(),
+    )
+    def test_density_matrices(self, parts, pure):
+        g = parts[0] + 1j * parts[1]
+        if pure:
+            g = g[:, :1]
+        rho = g @ g.conj().T
+        trace = np.trace(rho).real
+        assume(trace > 1e-6)
+        rho = rho / trace
+        assert _closed_form_entropy(rho) == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
+
+    BAD = {
+        "non_hermitian": [[0.5, 0.2], [0.0, 0.5]],
+        "complex_diagonal": [[0.5 + 1e-9j, 0.0], [0.0, 0.5]],
+        "nan": [[np.nan, 0.0], [0.0, 0.5]],
+        "inf": [[0.5, 0.0], [complex(0.0, np.inf), 0.5]],
+        "below_floor": [[1.5, 0.0], [0.0, -0.5]],
+        "below_floor_off_diagonal": [[0.5, 0.7], [0.7, 0.5]],
+    }
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_rejects_like_von_neumann_entropy(self, name, position, monkeypatch):
+        bad = np.array(self.BAD[name], dtype=complex)
+        with pytest.raises(ValueError) as before:
+            von_neumann_entropy(bad)
+        with pytest.raises(ValueError) as closed:
+            _closed_form_entropy(bad)
+        assert str(closed.value) == str(before.value)
+        # The same text from classical_capacity, with ``bad`` as the marginal
+        # of |0> or |1>; a channel cannot produce such a marginal, so the
+        # contraction is replaced.
+        marginals = [np.eye(2, dtype=complex) / 2] * 2
+        marginals[position] = bad
+        ch = amplitude_damping(0.3)
+        monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: np.stack(marginals))
+        with pytest.raises(ValueError) as solved:
+            classical_capacity(ch)
+        assert str(solved.value) == str(before.value)
 
 
 class TestQuantumCapacity:
@@ -712,9 +820,12 @@ class TestOptimizerBehaviour:
 
 class TestSolvers:
     @staticmethod
-    def _bisect(slope, maxiter=400):
-        # fun = -(x - 0.3)^2 / 2 has slope 0.3 - x; only the sign of slope steers.
-        return infotheory._bisect(lambda x: -((x - 0.3) ** 2) / 2, slope, 1e-8, maxiter)
+    def _bisect(slope, maxiter=400, curvature=0.0):
+        # fun = -(x - 0.3)^2 / 2 has slope 0.3 - x. A curvature that is not
+        # negative never takes a Newton step, so only the sign of slope steers.
+        return infotheory._bisect(
+            lambda x: -((x - 0.3) ** 2) / 2, lambda x: (slope(x), curvature), 1e-8, maxiter
+        )
 
     def test_bisection_finds_interior_zero(self):
         res = self._bisect(lambda x: 0.3 - x)
@@ -730,6 +841,23 @@ class TestSolvers:
     def test_bisection_fails_when_evaluations_run_out(self):
         res = self._bisect(lambda x: 0.3 - x, maxiter=1)
         assert (res.x, res.nit, res.nfev, res.success) == (0.5, 1, 2, False)
+
+    def test_newton_step_lands_on_the_zero(self):
+        # With the exact curvature -1 the step from 1/2 lands on 0.3.
+        res = self._bisect(lambda x: 0.3 - x, curvature=-1.0)
+        assert res.success
+        assert abs(0.3 - res.x) <= 1e-15
+        assert (res.nit, res.nfev) == (2, 3)
+
+    @pytest.mark.parametrize(
+        "slope,curvature",
+        [(lambda x: 0.3 - x, 1.0), (lambda x: -1.0 - x, -1.0)],
+        ids=["positive_curvature", "step_below_the_bracket"],
+    )
+    def test_bisects_where_a_newton_step_is_unsafe(self, slope, curvature):
+        # A curvature that is not negative, or a step outside the bracket
+        # (here always to -1), leaves the bisection path unchanged.
+        assert self._bisect(slope, 60, curvature) == self._bisect(slope, 60)
 
     def test_bisection_without_a_zero_fails(self):
         # No zero in [0, 1]: the midpoints approach 0 until maxiter runs out.
