@@ -13,15 +13,8 @@ import operator
 from enum import Enum
 from typing import Optional, Sequence
 
-from .channels import (
-    Channel,
-    bit_flip,
-    concentrated_amplitudes,
-    depolarizing,
-    phase_flip,
-    vacuum_extend,
-)
-from .supermaps import SupermapKind, coherent_superposition, fix_control, fold, switch
+from .channels import Channel, bit_flip, depolarizing, phase_flip
+from .supermaps import SupermapKind, compose, fix_control, fold
 
 __all__ = ["Family", "leaf_models", "family_channels", "build_supermap", "build_fixed"]
 
@@ -86,15 +79,15 @@ def build_supermap(
 ) -> Channel:
     """Compose the configuration ``kind`` over channels of ``family`` at ``p``.
 
-    The composition tree of ``kind`` is folded with ``switch`` and
-    ``coherent_superposition``. Each superposition vacuum-extends its two
-    channels with one vector: ``outer_amps`` if another superposition lies
-    below it (the outer level of ``COH_OF_COH``, indexed by the inner
-    composite Kraus indices), and ``amps`` otherwise (so for
-    ``COH_OF_SWITCH`` it is the outer vector over the inner switch Kraus
-    indices). ``None`` selects the concentrated default ``(1, 0, ..., 0)``.
-    A vector no superposition of ``kind`` reads is rejected before anything
-    is composed.
+    The composition tree of ``kind`` is folded by
+    :func:`~switchcap.supermaps.compose` into one checked ``Channel``. Each
+    superposition vacuum-extends its two children with one vector:
+    ``outer_amps`` if another superposition lies below it (the outer level
+    of ``COH_OF_COH``, indexed by the inner composite Kraus indices), and
+    ``amps`` otherwise (so for ``COH_OF_SWITCH`` it is the outer vector
+    over the inner switch Kraus indices). ``None`` selects the concentrated
+    default ``(1, 0, ..., 0)``. A vector no superposition of ``kind`` reads
+    is rejected before anything is composed.
     """
     chans = family_channels(family, p, kind.n_channels)
     # For each superposition, in fold order: is another superposition below it?
@@ -103,18 +96,7 @@ def build_supermap(
         raise ValueError(f"outer_amps only applies to coc, not {kind.token}")
     if amps is not None and all(nested):
         raise ValueError(f"{kind.token} does not take vacuum amplitudes")
-    node_amps = iter([outer_amps if below else amps for below in nested])
-
-    def superpose(first: Channel, second: Channel) -> Channel:
-        vec = next(node_amps)
-        return coherent_superposition(
-            *(
-                vacuum_extend(ch, concentrated_amplitudes(ch.n_kraus) if vec is None else vec)
-                for ch in (first, second)
-            )
-        )
-
-    return fold(kind, chans.__getitem__, switch, superpose)
+    return compose(kind, chans, [outer_amps if below else amps for below in nested])
 
 
 def build_fixed(

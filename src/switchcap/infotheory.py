@@ -104,7 +104,10 @@ class Ensemble:
             if not -1e-12 <= prob:
                 raise ValueError(f"negative ensemble probability {prob}")
             dim = len(pairs[0][1]) if pairs else len(np.atleast_1d(ket))
-            pairs.append((max(prob, 0.0), unit_vector(ket, dim, "ensemble state amplitudes")))
+            # The read-only basis kets passed unit_vector once, at import.
+            if dim != 2 or not (ket is _BASIS_KETS[0] or ket is _BASIS_KETS[1]):
+                ket = unit_vector(ket, dim, _KET_WHAT)
+            pairs.append((max(prob, 0.0), ket))
             total += prob
         if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"ensemble probabilities sum to {total}, expected 1")
@@ -112,8 +115,14 @@ class Ensemble:
 
     @staticmethod
     def computational(weight: float = 0.5) -> "Ensemble":
-        """Two-state qubit ensemble ``{(w, |0>), (1-w, |1>)}``."""
-        return Ensemble(((weight, (1.0, 0.0)), (1.0 - weight, (0.0, 1.0))))
+        """Two-state qubit ensemble ``{(w, |0>), (1-w, |1>)}``, sharing one ``|0>`` and ``|1>``."""
+        return Ensemble(((weight, _BASIS_KETS[0]), (1.0 - weight, _BASIS_KETS[1])))
+
+
+#: What an ensemble ket is called in ``unit_vector`` errors.
+_KET_WHAT = "ensemble state amplitudes"
+#: ``|0>`` and ``|1>``, checked here once for every computational ensemble.
+_BASIS_KETS = tuple(unit_vector(ket, 2, _KET_WHAT) for ket in ((1.0, 0.0), (0.0, 1.0)))
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,16 @@ channels). Both accept any pair of equal-dimension square channels,
 composed ones included, so every configuration is a tree of the two
 rules over its constituent channels. ``_TREES`` holds the tree of each
 of the six, and :func:`fold` is the one reader of its encoding:
-:func:`switchcap.configs.build_supermap` folds it into Kraus operators,
-and :func:`switchcap.oracle.effective_flip_probability` into Bloch
+:func:`compose` folds it into Kraus operators, and
+:func:`switchcap.oracle.effective_flip_probability` into Bloch
 z-multipliers.
 
-Every composition returns an ordinary :class:`~switchcap.channels.Channel`
-whose Kraus operators are built by literal substitution of the inner Kraus
-lists, so the Kraus count multiplies (m inner times n inner operators give
-m*n composed ones).
+Each rule is one private function on the stacked Kraus operators of its
+two children, built by literal substitution, so the Kraus count multiplies
+(m inner times n inner operators give m*n composed ones). ``switch`` and
+``coherent_superposition`` wrap one checked
+:class:`~switchcap.channels.Channel` around one application; :func:`compose`
+folds a whole configuration with the same rules and checks only its root.
 
 Ordering convention: composite spaces are control-major, ``control (x)
 target`` with any outer control first, so a controlled operator
@@ -39,16 +41,17 @@ from __future__ import annotations
 
 import operator
 from enum import Enum
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .channels import Channel, VacuumExtendedChannel
+from .channels import Channel, VacuumExtendedChannel, concentrated_amplitudes
 from .qmatrix import unit_vector
 
 __all__ = [
     "SupermapKind",
     "fold",
+    "compose",
     "switch",
     "coherent_superposition",
     "fix_control",
@@ -109,8 +112,21 @@ def fold(
     return walk(_TREES[kind])
 
 
-def _require_square_equal(channels: Sequence[Channel]) -> None:
-    dims = {(c.d_in, c.d_out) for c in channels}
+class _Composite(NamedTuple):
+    """The fields of a :class:`Channel`, before it is built and checked."""
+
+    kraus: np.ndarray
+    input_dims: tuple
+    output_dims: tuple
+    label: str
+
+
+def _composite(ch: Channel) -> _Composite:
+    return _Composite(ch.stacked, ch.input_dims, ch.output_dims, ch.label)
+
+
+def _require_square_equal(first: _Composite, second: _Composite) -> None:
+    dims = {(c.kraus.shape[2], c.kraus.shape[1]) for c in (first, second)}
     if len(dims) != 1:
         raise ValueError(f"channels must share one dimension, got {sorted(dims)}")
     d_in, d_out = dims.pop()
@@ -127,6 +143,74 @@ def _controlled(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return out.reshape(n1 * n2, 2 * d, 2 * d)
 
 
+def _switch_kraus(k: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Stacked ``L_j K_i (+) K_i L_j`` over pairs ``(i, j)``, ``i`` major.
+
+    Every ``L_j K_i`` comes from one product of the ``L_j`` stacked as rows
+    with the ``K_i`` side by side, ``(n2 d x d) @ (d x n1 d)``, whose block
+    ``(j, i)`` is ``L_j K_i``; every ``K_i L_j`` comes from the swapped one.
+    """
+    n1, d, _ = k.shape
+    n2 = len(l)
+    lk = (l.reshape(n2 * d, d) @ k.transpose(1, 0, 2).reshape(d, n1 * d)).reshape(n2, d, n1, d)
+    kl = (k.reshape(n1 * d, d) @ l.transpose(1, 0, 2).reshape(d, n2 * d)).reshape(n1, d, n2, d)
+    return _controlled(lk.transpose(2, 0, 1, 3), kl.transpose(0, 2, 1, 3))
+
+
+def _switch_rule(first: _Composite, second: _Composite) -> _Composite:
+    _require_square_equal(first, second)
+    return _Composite(
+        _switch_kraus(first.kraus, second.kraus),
+        (2,) + first.input_dims,
+        (2,) + first.output_dims,
+        f"switch[{first.label}; {second.label}]",
+    )
+
+
+def _coh_rule(
+    first: _Composite, alpha: np.ndarray, second: _Composite, beta: np.ndarray
+) -> _Composite:
+    _require_square_equal(first, second)
+    k, l = first.kraus[:, None], second.kraus[None, :]
+    return _Composite(
+        _controlled(k * beta[None, :, None, None], alpha[:, None, None, None] * l),
+        (2,) + first.input_dims,
+        (2,) + first.output_dims,
+        f"cohsup[{first.label}; {second.label}]",
+    )
+
+
+def compose(
+    kind: SupermapKind, channels: Sequence[Channel], node_amps: Sequence
+) -> Channel:
+    """The configuration ``kind`` over ``channels``, one per leaf index.
+
+    ``node_amps`` holds one vacuum-amplitude vector per superposition node
+    in fold order, ``None`` selecting the concentrated default ``(1, 0, ...,
+    0)``. A superposition checks its vector with ``unit_vector`` against
+    the Kraus count of its first child, then of its second, as
+    ``vacuum_extend`` would. The tree folds with the rules of ``switch``
+    and ``coherent_superposition`` over stacked Kraus arrays, and only the
+    root becomes a checked :class:`Channel`. Inner nodes need no check:
+    for complete ``{K_i}`` and ``{L_j}``, ``sum (L K)^dag (L K) = sum
+    K^dag (sum L^dag L) K = I`` in either order, and with unit amplitude
+    vectors each superposition block sums to ``I`` as well.
+    """
+    vectors = iter(node_amps)
+
+    def superpose(first: _Composite, second: _Composite) -> _Composite:
+        vec = next(vectors)
+        alpha, beta = (
+            concentrated_amplitudes(len(c.kraus))
+            if vec is None
+            else unit_vector(vec, len(c.kraus), "vacuum amplitudes (one per Kraus operator)")
+            for c in (first, second)
+        )
+        return _coh_rule(first, alpha, second, beta)
+
+    return Channel(*fold(kind, lambda index: _composite(channels[index]), _switch_rule, superpose))
+
+
 def switch(e1: Channel, e2: Channel) -> Channel:
     """Quantum switch of two channels, controlled by a fresh qubit.
 
@@ -135,14 +219,7 @@ def switch(e1: Channel, e2: Channel) -> Channel:
     ``|0><0| (x) L_j K_i + |1><1| (x) K_i L_j = L_j K_i (+) K_i L_j`` over
     all Kraus pairs.
     """
-    _require_square_equal((e1, e2))
-    k, l = e1.stacked[:, None], e2.stacked[None, :]
-    return Channel(
-        _controlled(l @ k, k @ l),
-        (2,) + e1.input_dims,
-        (2,) + e1.output_dims,
-        label=f"switch[{e1.label}; {e2.label}]",
-    )
+    return Channel(*_switch_rule(_composite(e1), _composite(e2)))
 
 
 def coherent_superposition(
@@ -157,16 +234,7 @@ def coherent_superposition(
     are the block-diagonal ``K_i beta_j (+) alpha_i L_j``, the direct-sum
     block index doubling as the path-control basis index.
     """
-    base1, base2 = e1.base, e2.base
-    _require_square_equal((base1, base2))
-    alpha = e1.amps[:, None, None, None]
-    beta = e2.amps[None, :, None, None]
-    return Channel(
-        _controlled(base1.stacked[:, None] * beta, alpha * base2.stacked[None, :]),
-        (2,) + base1.input_dims,
-        (2,) + base1.output_dims,
-        label=f"cohsup[{base1.label}; {base2.label}]",
-    )
+    return Channel(*_coh_rule(_composite(e1.base), e1.amps, _composite(e2.base), e2.amps))
 
 
 def fix_control(ch: Channel, control: Optional[np.ndarray] = None) -> Channel:

@@ -1,13 +1,16 @@
 """Shared helpers for the test suite."""
 
+import operator
+
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from switchcap.channels import Channel, vacuum_extend
-from switchcap.configs import Family
+from switchcap.channels import Channel, concentrated_amplitudes, vacuum_extend
+from switchcap.configs import Family, family_channels
 from switchcap.qmatrix import partial_trace
+from switchcap.supermaps import coherent_superposition, fold, switch
 
 
 def projector(vec):
@@ -55,6 +58,29 @@ def random_unit_vector(rng, n):
 def eligible_families(kind):
     """The families defined for ``kind``: ``MIXED_BLOCK`` needs four channels."""
     return [f for f in Family if not (kind.n_channels == 2 and f is Family.MIXED_BLOCK)]
+
+
+def reference_build(kind, family, p, amps=None, outer_amps=None):
+    """``build_supermap`` as a fold over the public ``switch`` and
+    ``coherent_superposition(vacuum_extend(...))``, one checked channel per node.
+
+    Each superposition reads ``outer_amps`` if another superposition lies
+    below it, else ``amps``; ``None`` is the concentrated default.
+    """
+    chans = family_channels(family, p, kind.n_channels)
+    nested = fold(kind, lambda index: [], operator.add, lambda a, b: a + b + [bool(a or b)])
+    node_amps = iter([outer_amps if below else amps for below in nested])
+
+    def superpose(first, second):
+        vec = next(node_amps)
+        return coherent_superposition(
+            *(
+                vacuum_extend(ch, concentrated_amplitudes(ch.n_kraus) if vec is None else vec)
+                for ch in (first, second)
+            )
+        )
+
+    return fold(kind, chans.__getitem__, switch, superpose)
 
 
 def random_channel(rng, d_in, d_out, n):

@@ -199,6 +199,22 @@ class TestEnsemble:
         Ensemble(((0.3, ZERO), (0.7, ONE)))
         assert len(calls) == 2
 
+    def test_computational_kets_are_checked_once(self, monkeypatch):
+        # Every computational ensemble shares the two basis kets checked at
+        # import; a basis ket in an ensemble of another dimension is checked.
+        first = Ensemble.computational(0.3)
+        calls = []
+        check = qmatrix.unit_vector
+        counted = lambda *args: calls.append(1) or check(*args)  # noqa: E731
+        monkeypatch.setattr(infotheory, "unit_vector", counted)
+        second = Ensemble.computational(0.6)
+        assert calls == []
+        for (_, ket), (_, again) in zip(first.entries, second.entries, strict=True):
+            assert ket is again
+        with pytest.raises(ValueError, match="expected 3 ensemble state amplitudes, got 2"):
+            Ensemble(((0.5, (0.0, 0.0, 1.0)), (0.5, first.entries[0][1])))
+        assert len(calls) == 2
+
     def test_computational_checks_only_the_weight(self):
         ens = Ensemble.computational(0.3)
         reference = Ensemble(((0.3, ZERO), (0.7, ONE)))

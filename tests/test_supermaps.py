@@ -16,10 +16,13 @@ from _helpers import (
     random_channel,
     random_density,
     random_unit_vector,
+    reference_build,
     uncompressed_fixed,
 )
+from switchcap import supermaps
 from switchcap.channels import (
     Channel,
+    VacuumExtendedChannel,
     apply,
     bit_flip,
     completeness_defect,
@@ -209,23 +212,43 @@ class TestNestedCompositions:
 
 
 class TestBuildWork:
-    """Each channel of a build is constructed, and so checked, once."""
+    """A build checks each distinct leaf once and the composed root once.
+
+    Inner nodes are stacked Kraus arrays, not channels, and no
+    superposition child becomes a ``VacuumExtendedChannel``.
+    """
 
     @pytest.mark.parametrize(
         ("kind", "family", "count"),
         [
-            # One bit-flip leaf, two superpositions, one switch.
-            (SupermapKind.SWITCH_OF_COH, Family.BIT_FLIP, 4),
+            # One bit-flip leaf, then the root.
+            (SupermapKind.SWITCH_OF_COH, Family.BIT_FLIP, 2),
             (SupermapKind.SWITCH, Family.DEPOLARIZING, 2),
-            (SupermapKind.COH_OF_COH, Family.MIXED_ALTERNATING, 5),
+            (SupermapKind.COH_OF_COH, Family.MIXED_ALTERNATING, 3),
+            (SupermapKind.SWITCH_OF_SWITCH, Family.DEPOLARIZING, 2),
         ],
     )
     def test_channel_constructions(self, kind, family, count, monkeypatch):
+        calls, extended = [], []
+        init = Channel.__post_init__
+        monkeypatch.setattr(Channel, "__post_init__", lambda ch: calls.append(1) or init(ch))
+        extend = VacuumExtendedChannel.__post_init__
+        monkeypatch.setattr(
+            VacuumExtendedChannel, "__post_init__", lambda ch: extended.append(1) or extend(ch)
+        )
+        build_supermap(kind, family, 0.3)
+        assert len(calls) == count
+        assert extended == []
+
+    def test_public_rules_check_one_channel_each(self, monkeypatch):
+        bf, pf = bit_flip(0.2), phase_flip(0.4)
+        first, second = _extended(bf), _extended(pf)
         calls = []
         init = Channel.__post_init__
         monkeypatch.setattr(Channel, "__post_init__", lambda ch: calls.append(1) or init(ch))
-        build_supermap(kind, family, 0.3)
-        assert len(calls) == count
+        switch(bf, pf)
+        coherent_superposition(first, second)
+        assert len(calls) == 2
 
     def test_repeated_leaves_share_one_channel(self):
         bit, bit_again, phase, phase_again = family_channels(Family.MIXED_BLOCK, 0.3, 4)
@@ -261,6 +284,106 @@ class TestAmplitudeRejection:
     def test_nan_amplitudes_rejected_by_the_norm_check(self):
         with pytest.raises(ValueError, match="vacuum amplitudes have squared norm nan"):
             build_supermap(SupermapKind.COHERENT_SUP, Family.BIT_FLIP, 0.3, [float("nan"), 0])
+
+    @pytest.mark.parametrize(
+        ("kind", "family", "which", "vec", "message"),
+        [
+            (SupermapKind.COHERENT_SUP, Family.BIT_FLIP, "amps", [1.0],
+             "expected 2 vacuum amplitudes (one per Kraus operator), got 1"),
+            (SupermapKind.COHERENT_SUP, Family.DEPOLARIZING, "amps", [1.0, 1.0, 0.0, 0.0],
+             "vacuum amplitudes have squared norm 2.0, expected 1"),
+            (SupermapKind.COHERENT_SUP, Family.DEPOLARIZING, "amps", [np.nan, 0.0, 0.0, 0.0],
+             "vacuum amplitudes have squared norm nan, expected 1"),
+            (SupermapKind.SWITCH_OF_COH, Family.DEPOLARIZING, "amps", [1.0, 0.0],
+             "expected 4 vacuum amplitudes (one per Kraus operator), got 2"),
+            (SupermapKind.SWITCH_OF_COH, Family.BIT_FLIP, "amps", [1.0, 1.0],
+             "vacuum amplitudes have squared norm 2.0, expected 1"),
+            (SupermapKind.SWITCH_OF_COH, Family.MIXED_BLOCK, "amps", [0.0, np.nan],
+             "vacuum amplitudes have squared norm nan, expected 1"),
+            # The superposition of switches reads one amplitude per switch Kraus pair.
+            (SupermapKind.COH_OF_SWITCH, Family.BIT_FLIP, "amps", [1.0, 0.0],
+             "expected 4 vacuum amplitudes (one per Kraus operator), got 2"),
+            (SupermapKind.COH_OF_SWITCH, Family.BIT_FLIP, "amps", [1.0, 1.0, 0.0, 0.0],
+             "vacuum amplitudes have squared norm 2.0, expected 1"),
+            (SupermapKind.COH_OF_SWITCH, Family.PHASE_FLIP, "amps", [np.nan, 0.0, 0.0, 0.0],
+             "vacuum amplitudes have squared norm nan, expected 1"),
+            (SupermapKind.COH_OF_COH, Family.DEPOLARIZING, "outer_amps", [1.0, 0.0, 0.0, 0.0],
+             "expected 16 vacuum amplitudes (one per Kraus operator), got 4"),
+            (SupermapKind.COH_OF_COH, Family.BIT_FLIP, "outer_amps", [1.0, 1.0, 0.0, 0.0],
+             "vacuum amplitudes have squared norm 2.0, expected 1"),
+            (SupermapKind.COH_OF_COH, Family.MIXED_ALTERNATING, "outer_amps", [np.nan, 0, 0, 0],
+             "vacuum amplitudes have squared norm nan, expected 1"),
+        ],
+    )
+    def test_invalid_amplitudes_rejected_as_vacuum_extend_would(
+        self, kind, family, which, vec, message
+    ):
+        with pytest.raises(ValueError) as info:
+            build_supermap(kind, family, 0.3, **{which: vec})
+        assert str(info.value) == message
+
+
+class TestComposeEquivalence:
+    """``build_supermap`` folds the same rules as the public ``switch`` and
+    ``coherent_superposition``, with one checked channel at the root."""
+
+    @staticmethod
+    def _assert_same(built, reference):
+        assert np.array_equal(built.stacked, reference.stacked)
+        assert built.label == reference.label
+        assert (built.input_dims, built.output_dims) == (
+            reference.input_dims, reference.output_dims
+        )
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_default_amplitudes(self, kind):
+        for family in eligible_families(kind):
+            for p in (0.0, 0.3, 1.0):
+                self._assert_same(
+                    build_supermap(kind, family, p), reference_build(kind, family, p)
+                )
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            SupermapKind.COHERENT_SUP,
+            SupermapKind.SWITCH_OF_COH,
+            SupermapKind.COH_OF_SWITCH,
+            SupermapKind.COH_OF_COH,
+        ],
+    )
+    def test_drawn_complex_amplitudes(self, kind):
+        rng = np.random.default_rng(43)
+        for family in eligible_families(kind):
+            n = 4 if family is Family.DEPOLARIZING else 2
+            for p in (0.0, 0.3, 1.0):
+                amps = random_unit_vector(rng, n * n if kind is SupermapKind.COH_OF_SWITCH else n)
+                outer = random_unit_vector(rng, n * n) if kind is SupermapKind.COH_OF_COH else None
+                self._assert_same(
+                    build_supermap(kind, family, p, amps, outer),
+                    reference_build(kind, family, p, amps, outer),
+                )
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        n1=st.integers(1, 16),
+        n2=st.integers(1, 16),
+        d=st.sampled_from([2, 4, 8]),
+        data=st.data(),
+    )
+    def test_switch_kernel_matches_pairwise_products(self, n1, n2, d, data):
+        # One matrix product per order gives the pairwise products of the
+        # broadcast reference. With this BLAS they agree bit for bit for d = 4
+        # and 8; 2 x 2 products may round differently, so the bound is 1e-15.
+        parts = [
+            data.draw(arrays(np.float64, (2, n, d, d), elements=st.floats(-1, 1)))
+            for n in (n1, n2)
+        ]
+        k, l = (part[0] + 1j * part[1] for part in parts)
+        out = supermaps._switch_kraus(k, l).reshape(n1, n2, 2 * d, 2 * d)
+        assert_allclose(out[..., :d, :d], l[None] @ k[:, None], rtol=0, atol=1e-15)
+        assert_allclose(out[..., d:, d:], k[:, None] @ l[None], rtol=0, atol=1e-15)
+        assert not out[..., :d, d:].any() and not out[..., d:, :d].any()
 
 
 class TestCompletenessGrid:
