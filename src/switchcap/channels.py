@@ -47,9 +47,14 @@ class Channel:
     ----------
     kraus : sequence of ndarray
         Kraus operators, each of shape ``(d_out, d_in)``, or one
-        ``(n, d_out, d_in)`` array. They are copied once into the read-only
-        C-ordered array ``stacked``, and ``kraus`` becomes that same array:
-        ``kraus[i]`` is the ``i``-th operator.
+        ``(n, d_out, d_in)`` array. They are stored as the read-only C-ordered
+        complex128 array ``stacked``, and ``kraus`` becomes that same array:
+        ``kraus[i]`` is the ``i``-th operator. A ``(n, d_out, d_in)`` array
+        that owns its data (``base is None``), is read-only, C-contiguous and
+        complex128 is adopted as ``stacked`` without a copy: whoever made it
+        hands it over and must not make it writable again. Any other input
+        (a writable array, a view, a list, another layout or dtype) is
+        copied once.
     input_dims : tuple of int
         Tensor-factor dimensions of the input space. For composed
         channels the convention is control-major: control/path factors
@@ -71,27 +76,38 @@ class Channel:
     stacked: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "input_dims", tuple(int(d) for d in self.input_dims))
-        object.__setattr__(self, "output_dims", tuple(int(d) for d in self.output_dims))
-        if any(d < 1 for d in self.input_dims + self.output_dims):
+        input_dims = tuple(map(int, self.input_dims))
+        output_dims = tuple(map(int, self.output_dims))
+        object.__setattr__(self, "input_dims", input_dims)
+        object.__setattr__(self, "output_dims", output_dims)
+        if min(input_dims + output_dims, default=1) < 1:
             raise ValueError("subsystem dimensions must be positive")
-        shape = (self.d_out, self.d_in)
+        shape = (math.prod(output_dims), math.prod(input_dims))
         kraus = self.kraus
         if isinstance(kraus, np.ndarray) and kraus.ndim == 3:
             wrong = {kraus.shape[1:]} - {shape}
+            flags = kraus.flags
+            adopt = (
+                kraus.base is None
+                and not flags.writeable
+                and flags.c_contiguous
+                and kraus.dtype == np.complex128
+            )
         else:
             wrong = {np.shape(k) for k in kraus} - {shape}
+            adopt = False
         if wrong:
             raise ValueError(f"Kraus operator of shape {wrong.pop()} does not match {shape}")
-        stacked = np.array(self.kraus, dtype=complex, order="C").reshape(-1, *shape)
-        stacked.setflags(write=False)
+        if adopt:
+            stacked = kraus
+        else:
+            stacked = np.array(kraus, dtype=complex, order="C").reshape(-1, *shape)
+            stacked.setflags(write=False)
         object.__setattr__(self, "stacked", stacked)
         object.__setattr__(self, "kraus", stacked)
         # A NaN or Inf entry makes a diagonal entry of the Gram non-finite, so
-        # the defect fails the test below and only then is finiteness checked;
-        # numpy's warnings on such entries (and on overflow) are silenced.
-        with np.errstate(invalid="ignore", over="ignore"):
-            defect = completeness_defect(self)
+        # the defect fails the test below and only then is finiteness checked.
+        defect = completeness_defect(self)
         if not defect <= COMPLETENESS_TOL:
             if not np.isfinite(stacked).all():
                 raise ValueError("matrix contains NaN or Inf entries")
@@ -201,13 +217,27 @@ def complementary_output(ch: Channel, rho: np.ndarray) -> np.ndarray:
     return products @ ks.conj().reshape(n, -1).T
 
 
+#: Recombines the real Gram's row pairs ``(2k, 2k + 1)`` into complex rows.
+_ROW_PAIR = np.array([1.0, -1.0j])
+
+
+@np.errstate(invalid="ignore", over="ignore")
 def completeness_defect(ch: Channel) -> float:
-    """Max-abs deviation of ``sum_i K_i^dag K_i`` from the identity."""
+    """Max-abs deviation of ``sum_i K_i^dag K_i`` from the identity.
+
+    The Gram comes from the float64 view of the stacked rows, without a
+    conjugated copy. With ``K = A + iB`` its columns interleave ``A`` and
+    ``B``, so the real product ``g = r^T r`` holds ``A^T A``, ``A^T B``,
+    ``B^T A`` and ``B^T B`` entrywise, and ``K^dag K = (A^T A + B^T B) +
+    i (A^T B - B^T A)`` takes one product with ``(1, -i)`` over the pairs.
+    numpy's warnings on NaN or Inf entries (and on overflow) are silenced:
+    they leave the defect non-finite, which no tolerance accepts.
+    """
     d = ch.d_in
-    rows = ch.stacked.reshape(-1, d)
-    gram = rows.conj().T @ rows
-    gram.reshape(-1)[:: d + 1] -= 1.0
-    return float(np.abs(gram).max())
+    r = ch.stacked.reshape(-1, d).view(np.float64)
+    gram = np.dot(r.T, r)
+    gram.reshape(-1)[:: 4 * d + 2] -= 1.0  # entries (2k, 2k), the diagonal of A^T A
+    return float(np.abs(np.dot(_ROW_PAIR, gram.view(complex).reshape(d, 2, d))).max())
 
 
 def concentrated_amplitudes(n: int) -> np.ndarray:

@@ -35,6 +35,7 @@ round with one eigendecomposition per map of its points inside the ball.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -443,6 +444,23 @@ def _lockstep(fun, runs) -> list:
     return results
 
 
+@functools.lru_cache(maxsize=16)
+def _starts(seed: int, restarts: int) -> np.ndarray:
+    """The read-only ``(restarts, 3)`` starts of :func:`quantum_capacity`.
+
+    Row 0 is the maximally mixed input; the others are drawn uniformly in the
+    ball from ``default_rng(seed)``. They depend on nothing else, so each
+    ``(seed, restarts)`` is drawn once.
+    """
+    rng = np.random.default_rng(seed)
+    directions = rng.normal(size=(restarts - 1, 3))
+    radii = rng.uniform(size=(restarts - 1, 1)) ** (1 / 3)
+    seeded = radii * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    starts = np.vstack([np.zeros(3), seeded])
+    starts.setflags(write=False)
+    return starts
+
+
 def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> CapacityResult:
     """One-shot quantum capacity: maximum coherent information.
 
@@ -467,11 +485,7 @@ def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> Capa
         raise ValueError("quantum capacity requires a qubit input space")
     objective = _objective(ch)
 
-    rng = np.random.default_rng(cfg.seed)
-    directions = rng.normal(size=(cfg.restarts - 1, 3))
-    radii = rng.uniform(size=(cfg.restarts - 1, 1)) ** (1 / 3)
-    seeded = radii * directions / np.linalg.norm(directions, axis=1, keepdims=True)
-    starts = [np.zeros(3), *seeded]
+    starts = _starts(cfg.seed, cfg.restarts)
     runs = _lockstep(objective, [_bfgs(x0, _GRADIENT_TOL, _MAX_ITERATIONS) for x0 in starts])
     values = np.array([0.0 - res.fun for res in runs])
     best = int(np.argmax(values))

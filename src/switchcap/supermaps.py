@@ -17,6 +17,9 @@ two children, built by literal substitution, so the Kraus count multiplies
 ``coherent_superposition`` wrap one checked
 :class:`~switchcap.channels.Channel` around one application; :func:`compose`
 folds a whole configuration with the same rules and checks only its root.
+Each application allocates its output array once, in :func:`_controlled`,
+and returns it read-only; the root's ``Channel`` adopts that array without
+a copy, so the 256 operators of a nested qubit configuration exist once.
 
 Ordering convention: composite spaces are control-major, ``control (x)
 target`` with any outer control first, so a controlled operator
@@ -135,12 +138,20 @@ def _require_square_equal(first: _Composite, second: _Composite) -> None:
 
 
 def _controlled(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """The operators ``first[i, j] (+) second[i, j]``, stacked in ``(i, j)`` order."""
+    """The operators ``first[i, j] (+) second[i, j]``, stacked in ``(i, j)`` order.
+
+    The one ``(n1 * n2, 2d, 2d)`` output is allocated here, after its two
+    ``(n1, n2, d, d)`` blocks, and both are written through a reshaped view.
+    It owns its data and is returned read-only, so the :class:`Channel`
+    built on it adopts it without a copy.
+    """
     n1, n2, d, _ = first.shape
-    out = np.zeros((n1, n2, 2 * d, 2 * d), dtype=complex)
-    out[..., :d, :d] = first
-    out[..., d:, d:] = second
-    return out.reshape(n1 * n2, 2 * d, 2 * d)
+    out = np.zeros((n1 * n2, 2 * d, 2 * d), dtype=complex)
+    blocks = out.reshape(n1, n2, 2 * d, 2 * d)
+    blocks[..., :d, :d] = first
+    blocks[..., d:, d:] = second
+    out.setflags(write=False)
+    return out
 
 
 def _switch_kraus(k: np.ndarray, l: np.ndarray) -> np.ndarray:

@@ -1,5 +1,11 @@
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from _helpers import direct_sum, eligible_families, projector, random_density
@@ -14,7 +20,7 @@ from switchcap.channels import (
     phase_flip,
     vacuum_extend,
 )
-from switchcap.configs import build_supermap
+from switchcap.configs import Family, build_supermap
 from switchcap.qmatrix import (
     IDENTITY_2,
     SIGMA_X,
@@ -22,7 +28,7 @@ from switchcap.qmatrix import (
     SIGMA_Z,
     assert_density_matrix,
 )
-from switchcap.supermaps import SupermapKind, fix_control
+from switchcap.supermaps import SupermapKind, coherent_superposition, fix_control, switch
 
 KET0 = projector(np.array([1, 0], dtype=complex))
 KET1 = projector(np.array([0, 1], dtype=complex))
@@ -191,9 +197,34 @@ class TestCompleteness:
                 composed = build_supermap(kind, family, 0.3)
                 channels += [composed, fix_control(composed)]
         for ch in channels:
-            rows = ch.stacked.reshape(-1, ch.d_in)
-            reference = np.max(np.abs(rows.conj().T @ rows - np.eye(ch.d_in)))
-            assert completeness_defect(ch) == pytest.approx(reference, abs=1e-15)
+            assert completeness_defect(ch) == pytest.approx(_conj_gram_defect(ch), abs=1e-15)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        d=st.sampled_from([2, 4, 8]),
+        complete=st.booleans(),
+        data=st.data(),
+    )
+    def test_defect_matches_the_conjugated_gram(self, n, d, complete, data):
+        parts = data.draw(arrays(np.float64, (2, n * d, d), elements=st.floats(-1, 1)))
+        rows = parts[0] + 1j * parts[1]
+        if complete:
+            rows, _ = np.linalg.qr(rows)
+        stack = SimpleNamespace(stacked=np.ascontiguousarray(rows).reshape(n, d, d), d_in=d)
+        reference = _conj_gram_defect(stack)
+        # The real-view Gram sums the n * d rows in another order. For a
+        # complete stack each Gram entry is within (n * d + 2) eps of the exact
+        # one either way (its columns have unit norm), so the two differ by at
+        # most twice that.
+        tolerance = 2 * (n * d + 2) * np.finfo(float).eps if reference < 1e-10 else 0.0
+        assert completeness_defect(stack) == pytest.approx(reference, rel=1e-13, abs=tolerance)
+
+
+def _conj_gram_defect(ch):
+    """``max |sum_i K_i^dag K_i - I|`` from the conjugated rows of ``ch.stacked``."""
+    rows = ch.stacked.reshape(-1, ch.d_in)
+    return np.max(np.abs(rows.conj().T @ rows - np.eye(ch.d_in)))
 
 
 class TestChannelStorage:
@@ -207,6 +238,66 @@ class TestChannelStorage:
             assert np.shares_memory(k, ch.stacked)
             assert_allclose(k, row)
         assert ch.kraus[0][0, 0] == pytest.approx(np.sqrt(0.7))
+
+    def test_writable_array_is_copied(self):
+        kraus = bit_flip(0.3).stacked.copy()
+        ch = Channel(kraus, (2,), (2,))
+        kraus[0, 0, 0] = 5.0
+        assert not np.shares_memory(ch.stacked, kraus)
+        assert ch.stacked[0, 0, 0] == pytest.approx(np.sqrt(0.7))
+
+    def test_read_only_view_of_a_writable_base_is_copied(self):
+        base = bit_flip(0.3).stacked.copy()
+        view = base[:]
+        view.setflags(write=False)
+        ch = Channel(view, (2,), (2,))
+        base[0, 0, 0] = 5.0
+        assert not np.shares_memory(ch.stacked, base)
+        assert ch.stacked[0, 0, 0] == pytest.approx(np.sqrt(0.7))
+
+    def test_read_only_owning_array_is_adopted(self):
+        kraus = bit_flip(0.3).stacked.copy()
+        kraus.setflags(write=False)
+        assert Channel(kraus, (2,), (2,)).stacked is kraus
+
+    @pytest.mark.parametrize(
+        ("source", "convert"),
+        [
+            (lambda: depolarizing(0.3), np.asfortranarray),
+            # 0.5 times a Pauli matrix is exact in complex64.
+            (lambda: pauli(0.25, 0.25, 0.25), lambda k: k.astype(np.complex64)),
+            (lambda: bit_flip(0.3), lambda k: k.real.copy()),
+        ],
+        ids=["fortran", "complex64", "float64"],
+    )
+    def test_read_only_array_of_another_layout_or_dtype_is_copied(self, source, convert):
+        kraus = convert(source().stacked)
+        kraus.setflags(write=False)
+        ch = Channel(kraus, (2,), (2,))
+        assert ch.stacked is not kraus
+        assert ch.stacked.flags.c_contiguous and ch.stacked.dtype == np.complex128
+        assert_allclose(ch.stacked, kraus)
+
+    def test_public_rules_return_adopted_roots(self, monkeypatch):
+        bf, pf = bit_flip(0.2), phase_flip(0.4)
+        first, second = vacuum_extend(bf, (1, 0)), vacuum_extend(pf, (0.6, 0.8))
+        handed = []
+        init = Channel.__post_init__
+        monkeypatch.setattr(Channel, "__post_init__", lambda ch: handed.append(ch.kraus) or init(ch))
+        roots = [switch(bf, pf), coherent_superposition(first, second)]
+        assert len(handed) == 2
+        for root, given_array in zip(roots, handed):
+            assert root.stacked is given_array
+            assert root.stacked.base is None and not root.stacked.flags.writeable
+
+    @pytest.mark.parametrize("kind", list(SupermapKind))
+    def test_composed_root_shares_memory_with_no_live_array(self, kind):
+        ch = build_supermap(kind, Family.DEPOLARIZING, 0.3)
+        assert ch.stacked.base is None and not ch.stacked.flags.writeable
+        # No view of the root (and no other reference to it) outlives the channel.
+        root = weakref.ref(ch.stacked)
+        del ch
+        assert root() is None
 
     def test_stacked_is_c_contiguous_whatever_the_input_layout(self):
         # Kernels on ``stacked`` round differently on other layouts.

@@ -721,6 +721,24 @@ class TestOptimizerBehaviour:
         assert a.value == b.value
         assert a.evaluations == b.evaluations
 
+    def test_starts_are_drawn_once_per_configuration(self, monkeypatch):
+        drawn = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: drawn.append(seed) or default_rng(seed))
+        infotheory._starts.cache_clear()
+        fixed = build_fixed(SupermapKind.COHERENT_SUP, Family.DEPOLARIZING, 0.12)
+        cfg = OptimizerConfig(restarts=5, seed=77)
+        first = quantum_capacity(fixed, cfg)
+        for _ in range(3):
+            again = quantum_capacity(fixed, cfg)
+            assert (again.raw_value, again.evaluations) == (first.raw_value, first.evaluations)
+        # The tolerance does not move the starts; the restart count does.
+        quantum_capacity(fixed, OptimizerConfig(restarts=5, tolerance=1e-3, seed=77))
+        assert drawn == [77]
+        quantum_capacity(fixed, OptimizerConfig(restarts=6, seed=77))
+        assert drawn == [77, 77]
+        assert not infotheory._starts(77, 5).flags.writeable
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_noiseless_capacity_is_one(self, kind):
         fixed = build_fixed(kind, Family.DEPOLARIZING, 0.0)

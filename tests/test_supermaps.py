@@ -1,5 +1,6 @@
 import operator
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,27 @@ class TestBuildWork:
         switch(bf, pf)
         coherent_superposition(first, second)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("kind", [SupermapKind.COH_OF_COH, SupermapKind.SWITCH_OF_SWITCH])
+    def test_root_is_the_one_full_size_array(self, kind):
+        # The 256-operator root is allocated once and adopted by its Channel;
+        # the two blocks the root's rule computes are a quarter of it each. A
+        # copy of the root or a full-size temporary in the completeness check
+        # would lift the peak to twice the root or more.
+        build_supermap(kind, Family.DEPOLARIZING, 0.3)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            root = build_supermap(kind, Family.DEPOLARIZING, 0.3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert root.n_kraus == 256
+        assert peak <= 1.6 * root.stacked.nbytes
 
     def test_repeated_leaves_share_one_channel(self):
         bit, bit_again, phase, phase_again = family_channels(Family.MIXED_BLOCK, 0.3, 4)
