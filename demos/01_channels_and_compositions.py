@@ -16,7 +16,6 @@ from switchcap import (
     partial_trace,
     phase_flip,
     switch,
-    vacuum_extend,
 )
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
@@ -53,7 +52,7 @@ for control, first, second in (((1, 0), bf, pf), ((0, 1), pf, bf)):
 
 print("\n--- coherent superposition of paths --------------------------")
 amps = (1 / np.sqrt(2), 1 / np.sqrt(2))
-sup = coherent_superposition(vacuum_extend(bf, amps), vacuum_extend(bf, amps))
+sup = coherent_superposition(bf, amps, bf, amps)
 print(f"superposition of two bit-flip channels: {sup.n_kraus} Kraus operators")
 print("each is the block-diagonal (K_i (+) K_j) / sqrt(2); the first:")
 print(sup.kraus[0].real)

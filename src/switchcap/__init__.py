@@ -8,17 +8,14 @@ reference expressions.
 
 from .channels import (
     Channel,
-    VacuumExtendedChannel,
     apply,
     bit_flip,
     complementary_output,
     completeness_defect,
-    concentrated_amplitudes,
     depolarizing,
     identity_channel,
     pauli,
     phase_flip,
-    vacuum_extend,
 )
 from .configs import Family, build_fixed, build_supermap, family_channels
 from .infotheory import (
@@ -40,20 +37,24 @@ from .oracle import (
     list_available,
 )
 from .qmatrix import eig_hermitian, partial_trace, von_neumann_entropy
-from .supermaps import SupermapKind, coherent_superposition, fix_control, switch
+from .supermaps import (
+    SupermapKind,
+    coherent_superposition,
+    concentrated_amplitudes,
+    fix_control,
+    switch,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Channel",
-    "VacuumExtendedChannel",
     "apply",
     "bit_flip",
     "phase_flip",
     "pauli",
     "depolarizing",
     "identity_channel",
-    "vacuum_extend",
     "completeness_defect",
     "concentrated_amplitudes",
     "SupermapKind",

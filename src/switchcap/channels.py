@@ -3,8 +3,7 @@
 A channel is an ordered list of Kraus operators ``{K_i}`` acting as
 ``rho -> sum_i K_i rho K_i^dag`` and satisfying the completeness relation
 ``sum_i K_i^dag K_i = I``. The catalog here covers the standard
-single-qubit noise models (bit flip, phase flip, Pauli, depolarizing)
-plus the vacuum extension used to place channels on superposed paths.
+single-qubit noise models (bit flip, phase flip, Pauli, depolarizing).
 
 Channels are immutable after construction and safe to share.
 """
@@ -12,16 +11,14 @@ Channels are immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .qmatrix import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_complex_matrix, unit_vector
+from .qmatrix import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_complex_matrix
 
 __all__ = [
     "Channel",
-    "VacuumExtendedChannel",
     "COMPLETENESS_TOL",
     "bit_flip",
     "phase_flip",
@@ -31,8 +28,6 @@ __all__ = [
     "apply",
     "complementary_output",
     "completeness_defect",
-    "concentrated_amplitudes",
-    "vacuum_extend",
 ]
 
 #: Max-abs deviation allowed for ``sum K^dag K`` from the identity.
@@ -47,14 +42,13 @@ class Channel:
     ----------
     kraus : sequence of ndarray
         Kraus operators, each of shape ``(d_out, d_in)``, or one
-        ``(n, d_out, d_in)`` array. They are stored as the read-only C-ordered
-        complex128 array ``stacked``, and ``kraus`` becomes that same array:
-        ``kraus[i]`` is the ``i``-th operator. A ``(n, d_out, d_in)`` array
-        that owns its data (``base is None``), is read-only, C-contiguous and
-        complex128 is adopted as ``stacked`` without a copy: whoever made it
-        hands it over and must not make it writable again. Any other input
-        (a writable array, a view, a list, another layout or dtype) is
-        copied once.
+        ``(n, d_out, d_in)`` array. They are stored as ``kraus``, one read-only
+        C-ordered complex128 ``(n, d_out, d_in)`` array: ``kraus[i]`` is the
+        ``i``-th operator. A ``(n, d_out, d_in)`` array that owns its data
+        (``base is None``), is read-only, C-contiguous and complex128 is
+        adopted as ``kraus`` without a copy: whoever made it hands it over
+        and must not make it writable again. Any other input (a writable
+        array, a view, a list, another layout or dtype) is copied once.
     input_dims : tuple of int
         Tensor-factor dimensions of the input space. For composed
         channels the convention is control-major: control/path factors
@@ -73,7 +67,6 @@ class Channel:
     input_dims: tuple
     output_dims: tuple
     label: str = ""
-    stacked: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         input_dims = tuple(map(int, self.input_dims))
@@ -98,18 +91,15 @@ class Channel:
             adopt = False
         if wrong:
             raise ValueError(f"Kraus operator of shape {wrong.pop()} does not match {shape}")
-        if adopt:
-            stacked = kraus
-        else:
-            stacked = np.array(kraus, dtype=complex, order="C").reshape(-1, *shape)
-            stacked.setflags(write=False)
-        object.__setattr__(self, "stacked", stacked)
-        object.__setattr__(self, "kraus", stacked)
+        if not adopt:
+            kraus = np.array(kraus, dtype=complex, order="C").reshape(-1, *shape)
+            kraus.setflags(write=False)
+            object.__setattr__(self, "kraus", kraus)
         # A NaN or Inf entry makes a diagonal entry of the Gram non-finite, so
         # the defect fails the test below and only then is finiteness checked.
         defect = completeness_defect(self)
         if not defect <= COMPLETENESS_TOL:
-            if not np.isfinite(stacked).all():
+            if not np.isfinite(kraus).all():
                 raise ValueError("matrix contains NaN or Inf entries")
             raise ValueError(f"Kraus operators violate completeness by {defect:.3e}")
 
@@ -200,7 +190,7 @@ def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
     ``rho`` must be a ``d_in x d_in`` matrix; the result is ``d_out x d_out``.
     """
     rho = _input_state(ch, rho)
-    ks = ch.stacked
+    ks = ch.kraus
     return np.einsum("aij,jk,alk->il", ks, rho, ks.conj())
 
 
@@ -211,7 +201,7 @@ def complementary_output(ch: Channel, rho: np.ndarray) -> np.ndarray:
     density matrix of dimension equal to the Kraus count.
     """
     rho = _input_state(ch, rho)
-    ks = ch.stacked
+    ks = ch.kraus
     n = ch.n_kraus
     products = (ks @ rho).reshape(n, -1)
     return products @ ks.conj().reshape(n, -1).T
@@ -234,46 +224,8 @@ def completeness_defect(ch: Channel) -> float:
     they leave the defect non-finite, which no tolerance accepts.
     """
     d = ch.d_in
-    r = ch.stacked.reshape(-1, d).view(np.float64)
+    r = ch.kraus.reshape(-1, d).view(np.float64)
     gram = np.dot(r.T, r)
     gram.reshape(-1)[:: 4 * d + 2] -= 1.0  # entries (2k, 2k), the diagonal of A^T A
     return float(np.abs(np.dot(_ROW_PAIR, gram.view(complex).reshape(d, 2, d))).max())
 
-
-def concentrated_amplitudes(n: int) -> np.ndarray:
-    """Default vacuum amplitudes ``(1, 0, ..., 0)`` of length ``n``."""
-    arr = np.zeros(n, dtype=complex)
-    arr[0] = 1.0
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class VacuumExtendedChannel:
-    """A channel together with its action on the vacuum sector.
-
-    It stands for the extended Kraus operators ``K_i (+) gamma_i`` on
-    ``d_in + 1`` dimensions, the appended last basis vector being the
-    vacuum; :func:`~switchcap.supermaps.coherent_superposition` reads
-    ``base`` and ``amps`` without building them. The amplitudes
-    ``gamma_i``, one per Kraus operator, form a unit vector
-    (:func:`~switchcap.qmatrix.unit_vector`), stored read-only.
-    """
-
-    base: Channel
-    amps: np.ndarray
-
-    def __post_init__(self):
-        what = "vacuum amplitudes (one per Kraus operator)"
-        object.__setattr__(self, "amps", unit_vector(self.amps, self.base.n_kraus, what))
-
-
-def vacuum_extend(ch: Channel, amps: Sequence[complex]) -> VacuumExtendedChannel:
-    """Attach vacuum amplitudes to a channel, one per Kraus operator.
-
-    Raises ``ValueError`` when the amplitude vector has the wrong length
-    or its squared norm differs from 1 by more than ``HERMITIAN_TOL``.
-    """
-    if ch.d_in != ch.d_out:
-        raise ValueError("only square channels can be vacuum extended")
-    return VacuumExtendedChannel(ch, amps)

@@ -105,8 +105,6 @@ def _parse_amps(text: str) -> np.ndarray:
         values = np.array([complex(t) for t in text.split(",")])
     except ValueError as exc:
         raise _UsageError(f"could not parse amplitudes {text!r}: {exc}") from None
-    if values.size == 0:
-        raise _UsageError("empty amplitude list")
     if not values.imag.any():
         values = values.real
     norm_sq = float(np.sum(np.abs(values) ** 2))

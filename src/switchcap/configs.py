@@ -81,7 +81,7 @@ def build_supermap(
 
     The composition tree of ``kind`` is folded by
     :func:`~switchcap.supermaps.compose` into one checked ``Channel``. Each
-    superposition vacuum-extends its two children with one vector:
+    superposition gives both of its children one vacuum-amplitude vector:
     ``outer_amps`` if another superposition lies below it (the outer level
     of ``COH_OF_COH``, indexed by the inner composite Kraus indices), and
     ``amps`` otherwise (so for ``COH_OF_SWITCH`` it is the outer vector

@@ -249,7 +249,7 @@ def _holevo_objective(ch: Channel):
     Where ``u . du = 0`` or ``h - R <= 0`` (``m0 = m1`` pure, where chi
     vanishes), ``chi' = s1 - s0`` and ``chi''`` reads 0.
     """
-    cols = ch.stacked.reshape(ch.n_kraus, -1, 2, 2)
+    cols = ch.kraus.reshape(ch.n_kraus, -1, 2, 2)
     m0, m1 = np.einsum("arti,arui->itu", cols, cols.conj())
     a0, d0, b0 = _qubit_entries(m0)
     s0 = _qubit_entropy(a0, d0, b0)
@@ -371,7 +371,7 @@ def _objective(ch: Channel):
     whose output and environment entropies are equal: it scores 0 with zero
     gradient and no eigendecomposition.
     """
-    ks, n = ch.stacked, ch.n_kraus
+    ks, n = ch.kraus, ch.n_kraus
     images = ks @ _PAULI_HALVES[:, None]
     out = (images @ ks.conj().transpose(0, 2, 1)).sum(axis=1)
     env = images.reshape(4, n, -1) @ ks.conj().reshape(n, -1).T

@@ -2,13 +2,13 @@
 
 Two composition rules are provided. Two channels can be placed in an
 indefinite causal order controlled by a qubit (``switch``) or routed
-along superposed paths (``coherent_superposition`` of vacuum-extended
-channels). Both accept any pair of equal-dimension square channels,
-composed ones included, so every configuration is a tree of the two
-rules over its constituent channels. ``_TREES`` holds the tree of each
-of the six, and :func:`fold` is the one reader of its encoding:
-:func:`compose` folds it into Kraus operators, and
-:func:`switchcap.oracle.effective_flip_probability` into Bloch
+along superposed paths (``coherent_superposition``, with one vacuum
+amplitude per Kraus operator of each channel). Both accept any pair of
+equal-dimension square channels, composed ones included, so every
+configuration is a tree of the two rules over its constituent channels.
+``_TREES`` holds the tree of each of the six, and :func:`fold` is the one
+reader of its encoding: :func:`compose` folds it into Kraus operators,
+and :func:`switchcap.oracle.effective_flip_probability` into Bloch
 z-multipliers.
 
 Each rule is one private function on the stacked Kraus operators of its
@@ -32,12 +32,12 @@ yielding a rectangular-Kraus channel from the bare target space to the
 full output space, which is what the capacity optimizers consume. It
 returns at most ``d_in * d_out`` Kraus operators (16 for a nested
 composition over qubits, whatever the composed count). Only this fixed
-channel is compressed: a composition built from vacuum-extended channels
-depends on their Kraus representation, not only on the channels
-(Chiribella & Kristjansson 2019, "Quantum Shannon theory with
-superpositions of trajectories"), so the composed channels keep every
-operator. The fixed channel is rectangular, so it cannot be vacuum
-extended or composed further.
+channel is compressed: a superposition depends on the Kraus
+representation of its channels and their vacuum amplitudes, not only on
+the channels (Chiribella & Kristjansson 2019, "Quantum Shannon theory
+with superpositions of trajectories"), so the composed channels keep
+every operator. The fixed channel is rectangular, so it cannot be
+composed further.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .channels import Channel, VacuumExtendedChannel, concentrated_amplitudes
+from .channels import Channel
 from .qmatrix import unit_vector
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
     "compose",
     "switch",
     "coherent_superposition",
+    "concentrated_amplitudes",
     "fix_control",
 ]
 
@@ -125,7 +126,7 @@ class _Composite(NamedTuple):
 
 
 def _composite(ch: Channel) -> _Composite:
-    return _Composite(ch.stacked, ch.input_dims, ch.output_dims, ch.label)
+    return _Composite(ch.kraus, ch.input_dims, ch.output_dims, ch.label)
 
 
 def _require_square_equal(first: _Composite, second: _Composite) -> None:
@@ -178,10 +179,25 @@ def _switch_rule(first: _Composite, second: _Composite) -> _Composite:
     )
 
 
+def concentrated_amplitudes(n: int) -> np.ndarray:
+    """Default vacuum amplitudes ``(1, 0, ..., 0)`` of length ``n``."""
+    arr = np.zeros(n, dtype=complex)
+    arr[0] = 1.0
+    arr.setflags(write=False)
+    return arr
+
+
 def _coh_rule(
-    first: _Composite, alpha: np.ndarray, second: _Composite, beta: np.ndarray
+    first: _Composite, alpha: Optional[Sequence], second: _Composite, beta: Optional[Sequence]
 ) -> _Composite:
+    """The rule of :func:`coherent_superposition`, which checks ``alpha`` then ``beta``."""
     _require_square_equal(first, second)
+    alpha, beta = (
+        concentrated_amplitudes(len(c.kraus))
+        if vec is None
+        else unit_vector(vec, len(c.kraus), "vacuum amplitudes (one per Kraus operator)")
+        for c, vec in ((first, alpha), (second, beta))
+    )
     k, l = first.kraus[:, None], second.kraus[None, :]
     return _Composite(
         _controlled(k * beta[None, :, None, None], alpha[:, None, None, None] * l),
@@ -198,26 +214,19 @@ def compose(
 
     ``node_amps`` holds one vacuum-amplitude vector per superposition node
     in fold order, ``None`` selecting the concentrated default ``(1, 0, ...,
-    0)``. A superposition checks its vector with ``unit_vector`` against
-    the Kraus count of its first child, then of its second, as
-    ``vacuum_extend`` would. The tree folds with the rules of ``switch``
-    and ``coherent_superposition`` over stacked Kraus arrays, and only the
-    root becomes a checked :class:`Channel`. Inner nodes need no check:
-    for complete ``{K_i}`` and ``{L_j}``, ``sum (L K)^dag (L K) = sum
-    K^dag (sum L^dag L) K = I`` in either order, and with unit amplitude
-    vectors each superposition block sums to ``I`` as well.
+    0)``. A superposition gives its vector to both children, checked as
+    :func:`coherent_superposition` checks it. The tree folds with the rules
+    of ``switch`` and ``coherent_superposition`` over stacked Kraus arrays,
+    and only the root becomes a checked :class:`Channel`. Inner nodes need
+    no check: for complete ``{K_i}`` and ``{L_j}``, ``sum (L K)^dag (L K) =
+    sum K^dag (sum L^dag L) K = I`` in either order, and with unit
+    amplitude vectors each superposition block sums to ``I`` as well.
     """
     vectors = iter(node_amps)
 
     def superpose(first: _Composite, second: _Composite) -> _Composite:
         vec = next(vectors)
-        alpha, beta = (
-            concentrated_amplitudes(len(c.kraus))
-            if vec is None
-            else unit_vector(vec, len(c.kraus), "vacuum amplitudes (one per Kraus operator)")
-            for c in (first, second)
-        )
-        return _coh_rule(first, alpha, second, beta)
+        return _coh_rule(first, vec, second, vec)
 
     return Channel(*fold(kind, lambda index: _composite(channels[index]), _switch_rule, superpose))
 
@@ -234,18 +243,27 @@ def switch(e1: Channel, e2: Channel) -> Channel:
 
 
 def coherent_superposition(
-    e1: VacuumExtendedChannel, e2: VacuumExtendedChannel
+    e1: Channel, alpha: Optional[Sequence], e2: Channel, beta: Optional[Sequence]
 ) -> Channel:
-    """Coherent superposition of two vacuum-extended channels.
+    """Coherent superposition of two channels with their vacuum amplitudes.
 
-    The message travels path 0 through the first channel or path 1 through
-    the second; whichever channel is not traversed acts on the vacuum,
-    contributing its amplitude as a scalar. With amplitudes ``alpha_i``
-    (first channel) and ``beta_j`` (second), the composed Kraus operators
-    are the block-diagonal ``K_i beta_j (+) alpha_i L_j``, the direct-sum
-    block index doubling as the path-control basis index.
+    Each channel acts on the message or on the vacuum: its extended Kraus
+    operators are ``K_i (+) gamma_i`` on ``d_in + 1`` dimensions, the vacuum
+    being the last basis vector, with one amplitude ``gamma_i`` per Kraus
+    operator. ``alpha`` holds those of ``e1`` and ``beta`` those of ``e2``;
+    each must be a unit vector (checked by
+    :func:`~switchcap.qmatrix.unit_vector`), and ``None`` selects
+    :func:`concentrated_amplitudes`, as in ``build_supermap``.
+
+    The message travels path 0 through ``e1`` or path 1 through ``e2``;
+    whichever channel is not traversed acts on the vacuum, contributing its
+    amplitude as a scalar. The composed Kraus operators are the
+    block-diagonal ``K_i beta_j (+) alpha_i L_j``, the direct-sum block
+    index doubling as the path-control basis index. Raises ``ValueError``
+    when the channels are not square of one dimension, or an amplitude
+    vector has the wrong length or is not normalized.
     """
-    return Channel(*_coh_rule(_composite(e1.base), e1.amps, _composite(e2.base), e2.amps))
+    return Channel(*_coh_rule(_composite(e1), alpha, _composite(e2), beta))
 
 
 def fix_control(ch: Channel, control: Optional[np.ndarray] = None) -> Channel:
@@ -271,8 +289,8 @@ def fix_control(ch: Channel, control: Optional[np.ndarray] = None) -> Channel:
         control = np.full(d_control, d_control**-0.5)
     cvec = unit_vector(control, d_control, "control amplitudes")
     embed = (cvec[:, None, None] * np.eye(d_target, dtype=complex)).reshape(ch.d_in, d_target)
-    n, d_out, _ = ch.stacked.shape
-    kraus = (ch.stacked.reshape(-1, ch.d_in) @ embed).reshape(n, d_out, d_target)
+    n, d_out, _ = ch.kraus.shape
+    kraus = (ch.kraus.reshape(-1, ch.d_in) @ embed).reshape(n, d_out, d_target)
     if n > d_out * d_target:
         # Rows sqrt(lam_i) u_i^dag have Gram sum_i lam_i u_i u_i^dag = V^dag V.
         v = kraus.reshape(n, -1)

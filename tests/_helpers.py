@@ -7,7 +7,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from switchcap.channels import Channel, concentrated_amplitudes, vacuum_extend
+from switchcap.channels import Channel
 from switchcap.configs import Family, family_channels
 from switchcap.qmatrix import partial_trace
 from switchcap.supermaps import coherent_superposition, fold, switch
@@ -62,7 +62,7 @@ def eligible_families(kind):
 
 def reference_build(kind, family, p, amps=None, outer_amps=None):
     """``build_supermap`` as a fold over the public ``switch`` and
-    ``coherent_superposition(vacuum_extend(...))``, one checked channel per node.
+    ``coherent_superposition``, one checked channel per node.
 
     Each superposition reads ``outer_amps`` if another superposition lies
     below it, else ``amps``; ``None`` is the concentrated default.
@@ -73,12 +73,7 @@ def reference_build(kind, family, p, amps=None, outer_amps=None):
 
     def superpose(first, second):
         vec = next(node_amps)
-        return coherent_superposition(
-            *(
-                vacuum_extend(ch, concentrated_amplitudes(ch.n_kraus) if vec is None else vec)
-                for ch in (first, second)
-            )
-        )
+        return coherent_superposition(first, vec, second, vec)
 
     return fold(kind, chans.__getitem__, switch, superpose)
 
@@ -115,14 +110,14 @@ def uncompressed_fixed(ch):
 
 @st.composite
 def channel_pairs_and_states(draw):
-    """Two random qubit channels with vacuum amplitudes, and an input state.
+    """Two random qubit ``(channel, vacuum amplitudes)`` pairs, and an input state.
 
     Each channel is an isometric Kraus set of 1-6 operators, so composed
     pairs fall on both sides of the ``d_in * d_out = 8`` compression
     threshold; the state is pure when its drawn rank is 1.
     """
     entries = st.floats(-1, 1)
-    extended = []
+    pairs = []
     for _ in range(2):
         n = draw(st.integers(1, 6))
         k = draw(arrays(np.float64, (2, 2 * n, 2), elements=entries))
@@ -131,10 +126,10 @@ def channel_pairs_and_states(draw):
         assume(np.linalg.norm(amps) > 1e-3)
         isometry, _ = np.linalg.qr(k[0] + 1j * k[1])
         ch = Channel(tuple(isometry.reshape(n, 2, 2)), (2,), (2,))
-        extended.append(vacuum_extend(ch, amps / np.linalg.norm(amps)))
+        pairs.append((ch, amps / np.linalg.norm(amps)))
     rank = draw(st.integers(1, 2))
     g = draw(arrays(np.float64, (2, 2, rank), elements=entries))
     g = g[0] + 1j * g[1]
     assume(np.linalg.norm(g) > 1e-3)
     rho = g @ g.conj().T
-    return extended, rho / np.trace(rho)
+    return pairs, rho / np.trace(rho)

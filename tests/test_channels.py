@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from _helpers import direct_sum, eligible_families, projector, random_density
+from _helpers import eligible_families, projector, random_density
 from switchcap.channels import (
     Channel,
     apply,
@@ -18,7 +18,6 @@ from switchcap.channels import (
     identity_channel,
     pauli,
     phase_flip,
-    vacuum_extend,
 )
 from switchcap.configs import Family, build_supermap
 from switchcap.qmatrix import (
@@ -211,7 +210,7 @@ class TestCompleteness:
         rows = parts[0] + 1j * parts[1]
         if complete:
             rows, _ = np.linalg.qr(rows)
-        stack = SimpleNamespace(stacked=np.ascontiguousarray(rows).reshape(n, d, d), d_in=d)
+        stack = SimpleNamespace(kraus=np.ascontiguousarray(rows).reshape(n, d, d), d_in=d)
         reference = _conj_gram_defect(stack)
         # The real-view Gram sums the n * d rows in another order. For a
         # complete stack each Gram entry is within (n * d + 2) eps of the exact
@@ -222,8 +221,8 @@ class TestCompleteness:
 
 
 def _conj_gram_defect(ch):
-    """``max |sum_i K_i^dag K_i - I|`` from the conjugated rows of ``ch.stacked``."""
-    rows = ch.stacked.reshape(-1, ch.d_in)
+    """``max |sum_i K_i^dag K_i - I|`` from the conjugated rows of ``ch.kraus``."""
+    rows = ch.kraus.reshape(-1, ch.d_in)
     return np.max(np.abs(rows.conj().T @ rows - np.eye(ch.d_in)))
 
 
@@ -232,33 +231,30 @@ class TestChannelStorage:
         source = [k.copy() for k in bit_flip(0.3).kraus]
         ch = Channel(source, (2,), (2,))
         source[0][0, 0] = 5.0
-        assert ch.stacked.shape == (2, 2, 2)
-        assert not ch.stacked.flags.writeable
-        for k, row in zip(ch.kraus, ch.stacked):
-            assert np.shares_memory(k, ch.stacked)
-            assert_allclose(k, row)
+        assert ch.kraus.shape == (2, 2, 2)
+        assert not ch.kraus.flags.writeable
         assert ch.kraus[0][0, 0] == pytest.approx(np.sqrt(0.7))
 
     def test_writable_array_is_copied(self):
-        kraus = bit_flip(0.3).stacked.copy()
+        kraus = bit_flip(0.3).kraus.copy()
         ch = Channel(kraus, (2,), (2,))
         kraus[0, 0, 0] = 5.0
-        assert not np.shares_memory(ch.stacked, kraus)
-        assert ch.stacked[0, 0, 0] == pytest.approx(np.sqrt(0.7))
+        assert not np.shares_memory(ch.kraus, kraus)
+        assert ch.kraus[0, 0, 0] == pytest.approx(np.sqrt(0.7))
 
     def test_read_only_view_of_a_writable_base_is_copied(self):
-        base = bit_flip(0.3).stacked.copy()
+        base = bit_flip(0.3).kraus.copy()
         view = base[:]
         view.setflags(write=False)
         ch = Channel(view, (2,), (2,))
         base[0, 0, 0] = 5.0
-        assert not np.shares_memory(ch.stacked, base)
-        assert ch.stacked[0, 0, 0] == pytest.approx(np.sqrt(0.7))
+        assert not np.shares_memory(ch.kraus, base)
+        assert ch.kraus[0, 0, 0] == pytest.approx(np.sqrt(0.7))
 
     def test_read_only_owning_array_is_adopted(self):
-        kraus = bit_flip(0.3).stacked.copy()
+        kraus = bit_flip(0.3).kraus.copy()
         kraus.setflags(write=False)
-        assert Channel(kraus, (2,), (2,)).stacked is kraus
+        assert Channel(kraus, (2,), (2,)).kraus is kraus
 
     @pytest.mark.parametrize(
         ("source", "convert"),
@@ -271,40 +267,39 @@ class TestChannelStorage:
         ids=["fortran", "complex64", "float64"],
     )
     def test_read_only_array_of_another_layout_or_dtype_is_copied(self, source, convert):
-        kraus = convert(source().stacked)
+        kraus = convert(source().kraus)
         kraus.setflags(write=False)
         ch = Channel(kraus, (2,), (2,))
-        assert ch.stacked is not kraus
-        assert ch.stacked.flags.c_contiguous and ch.stacked.dtype == np.complex128
-        assert_allclose(ch.stacked, kraus)
+        assert ch.kraus is not kraus
+        assert ch.kraus.flags.c_contiguous and ch.kraus.dtype == np.complex128
+        assert_allclose(ch.kraus, kraus)
 
     def test_public_rules_return_adopted_roots(self, monkeypatch):
         bf, pf = bit_flip(0.2), phase_flip(0.4)
-        first, second = vacuum_extend(bf, (1, 0)), vacuum_extend(pf, (0.6, 0.8))
         handed = []
         init = Channel.__post_init__
         monkeypatch.setattr(Channel, "__post_init__", lambda ch: handed.append(ch.kraus) or init(ch))
-        roots = [switch(bf, pf), coherent_superposition(first, second)]
+        roots = [switch(bf, pf), coherent_superposition(bf, (1, 0), pf, (0.6, 0.8))]
         assert len(handed) == 2
         for root, given_array in zip(roots, handed):
-            assert root.stacked is given_array
-            assert root.stacked.base is None and not root.stacked.flags.writeable
+            assert root.kraus is given_array
+            assert root.kraus.base is None and not root.kraus.flags.writeable
 
     @pytest.mark.parametrize("kind", list(SupermapKind))
     def test_composed_root_shares_memory_with_no_live_array(self, kind):
         ch = build_supermap(kind, Family.DEPOLARIZING, 0.3)
-        assert ch.stacked.base is None and not ch.stacked.flags.writeable
+        assert ch.kraus.base is None and not ch.kraus.flags.writeable
         # No view of the root (and no other reference to it) outlives the channel.
-        root = weakref.ref(ch.stacked)
+        root = weakref.ref(ch.kraus)
         del ch
         assert root() is None
 
-    def test_stacked_is_c_contiguous_whatever_the_input_layout(self):
-        # Kernels on ``stacked`` round differently on other layouts.
+    def test_kraus_is_c_contiguous_whatever_the_input_layout(self):
+        # Kernels on ``kraus`` round differently on other layouts.
         kraus = np.asfortranarray(np.stack(depolarizing(0.3).kraus))
         ch = Channel(kraus, (2,), (2,))
-        assert ch.stacked.flags.c_contiguous
-        assert_allclose(ch.stacked, kraus)
+        assert ch.kraus.flags.c_contiguous
+        assert_allclose(ch.kraus, kraus)
 
     def test_rejects_non_finite_entries(self):
         k = np.eye(2, dtype=complex)
@@ -319,16 +314,17 @@ class TestChannelStorage:
     )
     @pytest.mark.parametrize("incomplete", [False, True], ids=["complete", "incomplete"])
     def test_non_finite_entry_is_named_before_completeness(self, entry, incomplete):
-        kraus = bit_flip(0.3).stacked.copy()
+        kraus = bit_flip(0.3).kraus.copy()
         if incomplete:
             kraus[1] *= 2.0
         kraus[0, 1, 0] = entry
         with pytest.raises(ValueError, match=r"^matrix contains NaN or Inf entries$"):
             Channel(kraus, (2,), (2,))
 
-    def test_kraus_is_the_read_only_stacked_array(self):
+    def test_kraus_is_read_only_c_contiguous_complex128(self):
         ch = depolarizing(0.3)
-        assert ch.kraus is ch.stacked
+        assert ch.kraus.shape == (4, 2, 2)
+        assert ch.kraus.flags.c_contiguous and ch.kraus.dtype == np.complex128
         assert not ch.kraus.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             ch.kraus[0][0, 0] = 1.0
@@ -353,53 +349,3 @@ class TestChannelStorage:
         with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match \(2, 2\)"):
             Channel(np.zeros((2, 3, 3)), (2,), (2,))
 
-
-def _extended_channel(ext):
-    """The ``K_i (+) gamma_i`` Kraus set of ``ext`` on ``d_in + 1`` dimensions."""
-    dim = ext.base.d_in + 1
-    kraus = [direct_sum(k, [[g]]) for k, g in zip(ext.base.kraus, ext.amps)]
-    return Channel(kraus, (dim,), (dim,))
-
-
-class TestVacuumExtend:
-    def test_bit_flip_uniform_amplitudes(self):
-        # Extended operators are K_i (+) 1/sqrt(2) on the 3-dimensional
-        # space with the vacuum as last basis vector.
-        p = 0.3
-        ext = _extended_channel(vacuum_extend(bit_flip(p), (1 / np.sqrt(2), 1 / np.sqrt(2))))
-        for i, base in enumerate(bit_flip(p).kraus):
-            expected = np.zeros((3, 3), dtype=complex)
-            expected[:2, :2] = base
-            expected[2, 2] = 1 / np.sqrt(2)
-            assert_allclose(ext.kraus[i], expected)
-        assert completeness_defect(ext) <= 1e-10
-
-    def test_concentrated_amplitudes(self):
-        ext = vacuum_extend(depolarizing(0.5), (1, 0, 0, 0))
-        vac_components = [k[2, 2] for k in _extended_channel(ext).kraus]
-        assert vac_components[0] == 1.0
-        assert_allclose(vac_components[1:], 0)
-
-    def test_uniform_depolarizing_amplitudes_normalized(self):
-        ext = vacuum_extend(depolarizing(0.7), (0.5, 0.5, 0.5, 0.5))
-        assert np.sum(np.abs(ext.amps) ** 2) == pytest.approx(1.0, abs=1e-12)
-        assert completeness_defect(_extended_channel(ext)) <= 1e-10
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="norm"):
-            vacuum_extend(bit_flip(0.3), (0.9, 0.1))
-        with pytest.raises(ValueError, match="vacuum amplitudes have squared norm nan"):
-            vacuum_extend(bit_flip(0.3), (float("nan"), 0.0))
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="amplitudes"):
-            vacuum_extend(bit_flip(0.3), (1.0,))
-
-    def test_restriction_reproduces_base_action(self):
-        rng = np.random.default_rng(10)
-        ext = vacuum_extend(depolarizing(0.4), (0.5, 0.5, 0.5, 0.5))
-        rho = random_density(rng, 2)
-        embedded = np.zeros((3, 3), dtype=complex)
-        embedded[:2, :2] = rho
-        out = apply(_extended_channel(ext), embedded)
-        assert_allclose(out[:2, :2], apply(ext.base, rho), atol=1e-14)

@@ -168,6 +168,16 @@ class TestSweep:
         assert code == 1
         assert "error: expected 4 vacuum amplitudes" in capsys.readouterr().err
 
+    def test_empty_amps_rejected(self, capsys):
+        code = main(
+            [
+                "sweep", "--config", "cohsup", "--family", "bitflip",
+                "--amps", "", "--p-steps", "1",
+            ]
+        )
+        assert code == 1
+        assert "error: could not parse amplitudes ''" in capsys.readouterr().err
+
     def test_mixed_block_rejected_for_two_channels(self, capsys):
         code = main(["sweep", "--config", "switch", "--family", "mixed_block"])
         assert code == 1

@@ -23,11 +23,9 @@ from switchcap.channels import (
     apply,
     bit_flip,
     complementary_output,
-    concentrated_amplitudes,
     depolarizing,
     identity_channel,
     phase_flip,
-    vacuum_extend,
 )
 from switchcap.configs import Family, build_fixed, build_supermap
 from switchcap.infotheory import (
@@ -389,10 +387,7 @@ class TestClassicalCapacity:
             lambda: amplitude_damping(0.7),
             lambda: fix_control(switch(amplitude_damping(0.3), amplitude_damping(0.6))),
             lambda: fix_control(
-                coherent_superposition(
-                    vacuum_extend(amplitude_damping(0.3), concentrated_amplitudes(2)),
-                    vacuum_extend(amplitude_damping(0.6), concentrated_amplitudes(2)),
-                )
+                coherent_superposition(amplitude_damping(0.3), None, amplitude_damping(0.6), None)
             ),
         ],
         ids=["amplitude_damping", "switch", "cohsup"],
@@ -510,7 +505,7 @@ def _target_channel(ch):
     Its Kraus operators are the blocks ``(<r| (x) I) K_a`` over the basis
     ``r`` of the traced factors.
     """
-    blocks = ch.stacked.reshape(-1, ch.output_dims[-1], ch.d_in)
+    blocks = ch.kraus.reshape(-1, ch.output_dims[-1], ch.d_in)
     return Channel(blocks, ch.input_dims, ch.output_dims[-1:])
 
 
@@ -973,12 +968,12 @@ class TestBlochObjective:
         mixing=arrays(np.float64, (2, 8, 8), elements=st.floats(-1, 1)),
     )
     def test_random_composed_channels(self, case, point, mixing):
-        (e1, e2), _ = case
+        ((e1, alpha), (e2, beta)), _ = case
         norm = np.linalg.norm(point)
         r = 0.9 * point / max(1.0, norm)
         sphere = point / norm if norm > 1e-6 else np.array([0.0, 0.0, 1.0])
         rho = 0.5 * (np.eye(2) + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
-        for composed in (switch(e1.base, e2.base), coherent_superposition(e1, e2)):
+        for composed in (switch(e1, e2), coherent_superposition(e1, alpha, e2, beta)):
             fixed = fix_control(composed)
             objective = infotheory._objective(fixed)
             (value,), (grad,) = objective(r[None])
@@ -1009,7 +1004,7 @@ class TestBlochObjective:
             n = fixed.n_kraus
             unitary, _ = np.linalg.qr(mixing[0, :n, :n] + 1j * mixing[1, :n, :n])
             mixed = Channel(
-                tuple(np.tensordot(unitary, fixed.stacked, axes=1)),
+                tuple(np.tensordot(unitary, fixed.kraus, axes=1)),
                 fixed.input_dims,
                 fixed.output_dims,
             )
@@ -1036,8 +1031,8 @@ class TestLockstep:
         points=arrays(np.float64, (5, 3), elements=st.floats(-2, 2)),
     )
     def test_rows_equal_points_evaluated_alone(self, case, points):
-        (e1, e2), _ = case
-        for composed in (switch(e1.base, e2.base), coherent_superposition(e1, e2)):
+        ((e1, alpha), (e2, beta)), _ = case
+        for composed in (switch(e1, e2), coherent_superposition(e1, alpha, e2, beta)):
             objective = infotheory._objective(fix_control(composed))
             values, grads = objective(points)
             for row, x in enumerate(points):

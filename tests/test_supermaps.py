@@ -23,14 +23,12 @@ from _helpers import (
 from switchcap import supermaps
 from switchcap.channels import (
     Channel,
-    VacuumExtendedChannel,
     apply,
     bit_flip,
     completeness_defect,
     depolarizing,
     identity_channel,
     phase_flip,
-    vacuum_extend,
 )
 from switchcap.configs import Family, build_fixed, build_supermap, family_channels
 from switchcap.infotheory import coherent_information, exchange_entropy
@@ -38,6 +36,7 @@ from switchcap.qmatrix import partial_trace
 from switchcap.supermaps import (
     SupermapKind,
     coherent_superposition,
+    concentrated_amplitudes,
     fix_control,
     fold,
     switch,
@@ -47,13 +46,6 @@ KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 
 ALL_KINDS = list(SupermapKind)
-
-
-def _extended(ch, amps=None):
-    if amps is None:
-        amps = [0.0] * ch.n_kraus
-        amps[0] = 1.0
-    return vacuum_extend(ch, amps)
 
 
 class TestSwitch:
@@ -95,9 +87,7 @@ class TestCoherentSuperposition:
         # block-diagonal (K_i (+) L_j) / sqrt(2).
         p = 0.3
         amps = (1 / np.sqrt(2), 1 / np.sqrt(2))
-        e1 = vacuum_extend(bit_flip(p), amps)
-        e2 = vacuum_extend(bit_flip(p), amps)
-        ch = coherent_superposition(e1, e2)
+        ch = coherent_superposition(bit_flip(p), amps, bit_flip(p), amps)
         ks = bit_flip(p).kraus
         idx = 0
         for i in range(2):
@@ -107,8 +97,8 @@ class TestCoherentSuperposition:
                 idx += 1
 
     def test_identity_channels_give_identity(self):
-        e = vacuum_extend(identity_channel(), (1.0,))
-        ch = coherent_superposition(e, e)
+        e = identity_channel()
+        ch = coherent_superposition(e, (1.0,), e, (1.0,))
         assert ch.n_kraus == 1
         assert_allclose(ch.kraus[0], np.eye(4))
 
@@ -118,11 +108,96 @@ class TestCoherentSuperposition:
             p = rng.uniform(0, 1)
             raw = rng.normal(size=4) + 1j * rng.normal(size=4)
             amps = raw / np.linalg.norm(raw)
-            ch = coherent_superposition(
-                vacuum_extend(depolarizing(p), amps),
-                vacuum_extend(depolarizing(p), amps),
-            )
+            ch = coherent_superposition(depolarizing(p), amps, depolarizing(p), amps)
             assert completeness_defect(ch) <= 1e-10
+
+
+
+def _extended_channel(ch, amps):
+    """The ``K_i (+) gamma_i`` Kraus set of ``ch`` on ``d_in + 1`` dimensions."""
+    dim = ch.d_in + 1
+    kraus = [direct_sum(k, [[g]]) for k, g in zip(ch.kraus, amps)]
+    return Channel(kraus, (dim,), (dim,))
+
+
+class TestVacuumAmplitudes:
+    """The vacuum amplitudes a superposition reads, one per Kraus operator."""
+
+    def test_bit_flip_uniform_amplitudes(self):
+        # Extended operators are K_i (+) 1/sqrt(2) on the 3-dimensional
+        # space with the vacuum as last basis vector.
+        p = 0.3
+        ext = _extended_channel(bit_flip(p), (1 / np.sqrt(2), 1 / np.sqrt(2)))
+        for i, base in enumerate(bit_flip(p).kraus):
+            expected = np.zeros((3, 3), dtype=complex)
+            expected[:2, :2] = base
+            expected[2, 2] = 1 / np.sqrt(2)
+            assert_allclose(ext.kraus[i], expected)
+        assert completeness_defect(ext) <= 1e-10
+
+    def test_concentrated_amplitudes(self):
+        amps = concentrated_amplitudes(4)
+        assert not amps.flags.writeable
+        vac_components = [k[2, 2] for k in _extended_channel(depolarizing(0.5), amps).kraus]
+        assert vac_components[0] == 1.0
+        assert_allclose(vac_components[1:], 0)
+
+    def test_uniform_depolarizing_amplitudes_complete(self):
+        ext = _extended_channel(depolarizing(0.7), (0.5, 0.5, 0.5, 0.5))
+        assert completeness_defect(ext) <= 1e-10
+
+    def test_restriction_reproduces_base_action(self):
+        rng = np.random.default_rng(10)
+        ch = depolarizing(0.4)
+        rho = random_density(rng, 2)
+        embedded = np.zeros((3, 3), dtype=complex)
+        embedded[:2, :2] = rho
+        out = apply(_extended_channel(ch, (0.5, 0.5, 0.5, 0.5)), embedded)
+        assert_allclose(out[:2, :2], apply(ch, rho), atol=1e-14)
+
+    def test_superposition_is_the_one_particle_sector_of_the_extended_pair(self):
+        # Path 0 carries the message through the first extended channel while
+        # the second sees the vacuum, path 1 the reverse: the isometry V maps
+        # |0, a> to |a, vac> and |1, b> to |vac, b>, and each composed operator
+        # is V^dag (E_i (x) F_j) V.
+        rng = np.random.default_rng(11)
+        e1, e2 = random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 3)
+        alpha, beta = random_unit_vector(rng, 2), random_unit_vector(rng, 3)
+        v = np.zeros((9, 4))
+        v[[2, 5, 6, 7], [0, 1, 2, 3]] = 1.0
+        ext1, ext2 = _extended_channel(e1, alpha), _extended_channel(e2, beta)
+        expected = [v.T @ np.kron(a, b) @ v for a in ext1.kraus for b in ext2.kraus]
+        ch = coherent_superposition(e1, alpha, e2, beta)
+        assert_allclose(ch.kraus, expected, rtol=0, atol=1e-15)
+
+    def test_none_is_the_concentrated_vector(self):
+        e1, e2 = bit_flip(0.3), depolarizing(0.6)
+        explicit = coherent_superposition(
+            e1, concentrated_amplitudes(2), e2, concentrated_amplitudes(4)
+        )
+        assert np.array_equal(coherent_superposition(e1, None, e2, None).kraus, explicit.kraus)
+
+    @pytest.mark.parametrize(
+        ("alpha", "beta", "message"),
+        [
+            ((1.0,), None, "expected 2 vacuum amplitudes (one per Kraus operator), got 1"),
+            ((0.9, 0.1), None, "vacuum amplitudes have squared norm 0.8200000000000001, expected 1"),
+            ((float("nan"), 0.0), None, "vacuum amplitudes have squared norm nan, expected 1"),
+            # The first vector is checked first, each against its own channel.
+            ((1.0,), (1.0, 0.0), "expected 2 vacuum amplitudes (one per Kraus operator), got 1"),
+            (None, (1.0, 0.0), "expected 4 vacuum amplitudes (one per Kraus operator), got 2"),
+        ],
+        ids=["wrong_length", "unnormalized", "nan", "first_checked_first", "second_length"],
+    )
+    def test_invalid_amplitudes_rejected(self, alpha, beta, message):
+        with pytest.raises(ValueError) as info:
+            coherent_superposition(bit_flip(0.3), alpha, depolarizing(0.3), beta)
+        assert str(info.value) == message
+
+    def test_non_square_channels_rejected(self):
+        embedding = Channel((np.eye(3, 2),), (2,), (3,))
+        with pytest.raises(ValueError, match="^composition requires square Kraus operators$"):
+            coherent_superposition(embedding, None, embedding, None)
 
 
 class TestBlockConstruction:
@@ -141,7 +216,7 @@ class TestBlockConstruction:
         rng = np.random.default_rng(9)
         e1, e2 = random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 3)
         alpha, beta = random_unit_vector(rng, 2), random_unit_vector(rng, 3)
-        ch = coherent_superposition(vacuum_extend(e1, alpha), vacuum_extend(e2, beta))
+        ch = coherent_superposition(e1, alpha, e2, beta)
         pairs = [(k, a, l, b) for k, a in zip(e1.kraus, alpha) for l, b in zip(e2.kraus, beta)]
         assert ch.n_kraus == len(pairs)
         for m, (k, a, l, b) in zip(ch.kraus, pairs):
@@ -165,45 +240,45 @@ class TestNestedCompositions:
         assert_allclose(switch(inner, inner).kraus[0], np.eye(8), atol=1e-15)
 
     def test_soc_identities(self):
-        e = _extended(identity_channel())
-        inner = coherent_superposition(e, e)
+        e = identity_channel()
+        inner = coherent_superposition(e, None, e, None)
         ch = switch(inner, inner)
         nonzero = [k for k in ch.kraus if np.abs(k).max() > 1e-14]
         assert len(nonzero) == 1
         assert_allclose(nonzero[0], np.eye(8))
 
     def test_soc_kraus_count(self):
-        e = _extended(bit_flip(0.2))
-        inner = coherent_superposition(e, e)
+        e = bit_flip(0.2)
+        inner = coherent_superposition(e, None, e, None)
         assert switch(inner, inner).n_kraus == 16
 
     def test_coc_identities_concentrated(self):
-        e = _extended(identity_channel())
-        inner = _extended(coherent_superposition(e, e))
-        ch = coherent_superposition(inner, inner)
+        e = identity_channel()
+        inner = coherent_superposition(e, None, e, None)
+        ch = coherent_superposition(inner, None, inner, None)
         nonzero = [k for k in ch.kraus if np.abs(k).max() > 1e-14]
         assert len(nonzero) == 1
         assert_allclose(nonzero[0], np.eye(8))
 
     def test_cos_identities_concentrated(self):
-        inner = _extended(switch(identity_channel(), identity_channel()))
-        ch = coherent_superposition(inner, inner)
+        inner = switch(identity_channel(), identity_channel())
+        ch = coherent_superposition(inner, None, inner, None)
         nonzero = [k for k in ch.kraus if np.abs(k).max() > 1e-14]
         assert len(nonzero) == 1
         assert_allclose(nonzero[0], np.eye(8))
 
     def test_outer_amplitude_normalization_enforced(self):
-        e = _extended(bit_flip(0.3))
-        inner = coherent_superposition(e, e)
+        e = bit_flip(0.3)
+        inner = coherent_superposition(e, None, e, None)
         with pytest.raises(ValueError, match="norm"):
-            vacuum_extend(inner, np.full(4, 0.9))
+            coherent_superposition(inner, np.full(4, 0.9), inner, None)
 
     def test_hybrid_nest_outside_the_six_configurations(self):
         # A switch between a path superposition and a switch: no
         # configuration token names it, but the combinators compose it.
         c = depolarizing(0.3)
-        e = vacuum_extend(c, (0.5, 0.5, 0.5, 0.5))
-        ch = switch(coherent_superposition(e, e), switch(c, c))
+        amps = (0.5, 0.5, 0.5, 0.5)
+        ch = switch(coherent_superposition(c, amps, c, amps), switch(c, c))
         assert ch.n_kraus == 256
         assert completeness_defect(ch) <= 1e-10
         fixed = fix_control(ch)
@@ -215,8 +290,7 @@ class TestNestedCompositions:
 class TestBuildWork:
     """A build checks each distinct leaf once and the composed root once.
 
-    Inner nodes are stacked Kraus arrays, not channels, and no
-    superposition child becomes a ``VacuumExtendedChannel``.
+    Inner nodes are stacked Kraus arrays, not channels.
     """
 
     @pytest.mark.parametrize(
@@ -230,25 +304,19 @@ class TestBuildWork:
         ],
     )
     def test_channel_constructions(self, kind, family, count, monkeypatch):
-        calls, extended = [], []
+        calls = []
         init = Channel.__post_init__
         monkeypatch.setattr(Channel, "__post_init__", lambda ch: calls.append(1) or init(ch))
-        extend = VacuumExtendedChannel.__post_init__
-        monkeypatch.setattr(
-            VacuumExtendedChannel, "__post_init__", lambda ch: extended.append(1) or extend(ch)
-        )
         build_supermap(kind, family, 0.3)
         assert len(calls) == count
-        assert extended == []
 
     def test_public_rules_check_one_channel_each(self, monkeypatch):
         bf, pf = bit_flip(0.2), phase_flip(0.4)
-        first, second = _extended(bf), _extended(pf)
         calls = []
         init = Channel.__post_init__
         monkeypatch.setattr(Channel, "__post_init__", lambda ch: calls.append(1) or init(ch))
         switch(bf, pf)
-        coherent_superposition(first, second)
+        coherent_superposition(bf, None, pf, None)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("kind", [SupermapKind.COH_OF_COH, SupermapKind.SWITCH_OF_SWITCH])
@@ -270,7 +338,7 @@ class TestBuildWork:
             if not tracing:
                 tracemalloc.stop()
         assert root.n_kraus == 256
-        assert peak <= 1.6 * root.stacked.nbytes
+        assert peak <= 1.6 * root.kraus.nbytes
 
     def test_repeated_leaves_share_one_channel(self):
         bit, bit_again, phase, phase_again = family_channels(Family.MIXED_BLOCK, 0.3, 4)
@@ -337,7 +405,7 @@ class TestAmplitudeRejection:
              "vacuum amplitudes have squared norm nan, expected 1"),
         ],
     )
-    def test_invalid_amplitudes_rejected_as_vacuum_extend_would(
+    def test_invalid_amplitudes_rejected_by_the_superposition_rule(
         self, kind, family, which, vec, message
     ):
         with pytest.raises(ValueError) as info:
@@ -351,7 +419,7 @@ class TestComposeEquivalence:
 
     @staticmethod
     def _assert_same(built, reference):
-        assert np.array_equal(built.stacked, reference.stacked)
+        assert np.array_equal(built.kraus, reference.kraus)
         assert built.label == reference.label
         assert (built.input_dims, built.output_dims) == (
             reference.input_dims, reference.output_dims
@@ -527,8 +595,8 @@ class TestFixControl:
     @settings(derandomize=True, deadline=None)
     @given(case=channel_pairs_and_states())
     def test_compressed_matches_uncompressed(self, case):
-        (e1, e2), rho = case
-        for composed in (switch(e1.base, e2.base), coherent_superposition(e1, e2)):
+        ((e1, alpha), (e2, beta)), rho = case
+        for composed in (switch(e1, e2), coherent_superposition(e1, alpha, e2, beta)):
             fixed = fix_control(composed)
             reference = uncompressed_fixed(composed)
             assert fixed.n_kraus <= fixed.d_in * fixed.d_out
