@@ -11,6 +11,7 @@ Channels are immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +59,10 @@ class Channel:
     label : str
         Human-readable tag used in reports and CSV output.
 
-    Raises ``ValueError`` when an operator has the wrong shape or a
-    non-finite entry, or when ``sum_i K_i^dag K_i`` deviates from the
-    identity by more than ``COMPLETENESS_TOL`` (an empty list included).
+    Raises ``ValueError`` when a dimension is not a positive integer, an
+    operator has the wrong shape or a non-finite entry, or when ``sum_i
+    K_i^dag K_i`` deviates from the identity by more than
+    ``COMPLETENESS_TOL`` (an empty list included).
     """
 
     kraus: np.ndarray
@@ -69,12 +71,12 @@ class Channel:
     label: str = ""
 
     def __post_init__(self):
-        input_dims = tuple(map(int, self.input_dims))
-        output_dims = tuple(map(int, self.output_dims))
+        input_dims, output_dims = tuple(self.input_dims), tuple(self.output_dims)
+        if not all(isinstance(d, numbers.Integral) and d >= 1 for d in input_dims + output_dims):
+            raise ValueError("subsystem dimensions must be positive integers")
+        input_dims, output_dims = tuple(map(int, input_dims)), tuple(map(int, output_dims))
         object.__setattr__(self, "input_dims", input_dims)
         object.__setattr__(self, "output_dims", output_dims)
-        if min(input_dims + output_dims, default=1) < 1:
-            raise ValueError("subsystem dimensions must be positive")
         shape = (math.prod(output_dims), math.prod(input_dims))
         kraus = self.kraus
         if isinstance(kraus, np.ndarray) and kraus.ndim == 3:
@@ -99,8 +101,7 @@ class Channel:
         # the defect fails the test below and only then is finiteness checked.
         defect = completeness_defect(self)
         if not defect <= COMPLETENESS_TOL:
-            if not np.isfinite(kraus).all():
-                raise ValueError("matrix contains NaN or Inf entries")
+            as_complex_matrix(kraus.reshape(-1, shape[1]))
             raise ValueError(f"Kraus operators violate completeness by {defect:.3e}")
 
     @property

@@ -14,10 +14,10 @@ The library checks that an amplitude set has one entry per Kraus operator.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 optimizer non-convergence,
 3 requested tolerance unachievable, 4 numerical failure (a capacity solver
-raised, for example on a state below the positivity floor). CSV output is
-byte-deterministic for a fixed seed: fixed column order, floats at 9
-significant digits (capacities below ``CAPACITY_NOISE_BITS`` print as
-``0``), LF line endings, rows sorted before writing.
+raised). CSV output is byte-deterministic for a fixed seed: fixed column
+order, floats at 9 significant digits (capacities below
+``CAPACITY_NOISE_BITS`` print as ``0``), LF line endings, rows sorted
+before writing.
 """
 
 from __future__ import annotations

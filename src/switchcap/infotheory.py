@@ -18,9 +18,9 @@ fixed (see :func:`switchcap.supermaps.fix_control`):
 The classical capacity maximizes a concave function of one weight by a
 Newton iteration on its exact slope and curvature, safeguarded by
 bisection on the slope's sign, and needs a qubit target output factor. The
-target marginals of the two basis inputs are built and checked once per
-call; their entropies, the value, slope and curvature are closed-form
-2 x 2 arithmetic on their mixture, computed on floats with no eigensolver.
+target marginals of the two basis inputs are built once per call; their
+entropies, the value, slope and curvature are closed-form 2 x 2 arithmetic
+on their mixture, computed on floats with no eigensolver.
 
 Coherent information is not concave, so ``quantum_capacity`` runs a
 multistart BFGS with a backtracking line search over the Bloch ball: a
@@ -34,9 +34,9 @@ round with one eigendecomposition per map of its points inside the ball.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
@@ -45,8 +45,6 @@ import numpy as np
 
 from .channels import Channel, apply, complementary_output
 from .qmatrix import (
-    EIGENVALUE_FLOOR,
-    HERMITIAN_TOL,
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Y,
@@ -133,7 +131,8 @@ class OptimizerConfig:
     ``restarts`` counts total BFGS runs (the canonical start plus
     ``restarts - 1`` seeded ones), which advance in lockstep. ``tolerance``
     is the absolute agreement, in bits, required between the two best
-    restarts for the run to be flagged converged.
+    restarts for the run to be flagged converged. ``restarts`` and ``seed``
+    must be integers.
     """
 
     restarts: int = 6
@@ -141,6 +140,9 @@ class OptimizerConfig:
     seed: int = 20240601
 
     def __post_init__(self):
+        for name in ("restarts", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if not 0 < self.tolerance < math.inf:
@@ -200,33 +202,16 @@ def target_marginal(ch: Channel, rho: np.ndarray) -> np.ndarray:
     return partial_trace(out, ch.output_dims, keep=[len(ch.output_dims) - 1])
 
 
-def _qubit_entries(m: np.ndarray) -> tuple:
-    """``(a, d, b)`` of a 2 x 2 matrix ``[[a, .], [b, d]]``, ``a`` and ``d`` real.
-
-    Rejects ``m`` as :func:`von_neumann_entropy` does, with its messages,
-    unless its entries are finite and it is Hermitian within ``HERMITIAN_TOL``.
-    """
-    (a, c), (b, d) = m.tolist()
-    if not all(map(cmath.isfinite, (a, b, c, d))):
-        raise ValueError("matrix contains NaN or Inf entries")
-    dev = max(abs(a - a.conjugate()), abs(c - b.conjugate()), abs(d - d.conjugate()))
-    if dev > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return a.real, d.real, b
-
-
 def _qubit_entropy(a: float, d: float, b: complex) -> float:
     """Entropy in bits of the Hermitian ``[[a, b*], [b, d]]``, from its spectrum in closed form.
 
     The eigenvalues are ``(a + d)/2 +- R``, ``R`` the length of ``((a - d)/2,
-    Re b, Im b)``. As in :func:`entropy_of_spectrum`, one below
-    ``EIGENVALUE_FLOOR`` raises, and they are clamped to ``[0, 1]``.
+    Re b, Im b)``. As in :func:`entropy_of_spectrum`, they are clamped to
+    ``[0, 1]``.
     """
     half, radius = 0.5 * (a + d), math.hypot(0.5 * (a - d), b.real, b.imag)
     entropy = 0.0
     for eig in (half - radius, half + radius):
-        if eig < EIGENVALUE_FLOOR:
-            raise ValueError(f"eigenvalue {eig:.3e} below positivity floor")
         eig = min(eig, 1.0)
         if eig > 0.0:
             entropy -= eig * math.log2(eig)
@@ -237,26 +222,22 @@ def _holevo_objective(ch: Channel):
     """``w -> chi(w)`` and ``w -> (chi'(w), chi''(w))`` for the prior ``{(w, |0>), (1-w, |1>)}``.
 
     chi is the Holevo information on the target marginal, which must be a
-    qubit. The marginals ``m0`` and ``m1`` of the two basis inputs come from one
-    contraction over the Kraus operators and pass :func:`_qubit_entries`.
+    qubit. The marginals ``m0`` and ``m1`` of the two basis inputs are built
+    once, by one contraction over the Kraus operators of the checked ``ch``.
     Everything after is closed-form arithmetic on floats: ``M(w) = w m0 +
     (1-w) m1`` has eigenvalues ``h +- R``, ``h`` half its trace and ``R`` the
     length of its half Bloch vector ``u``, so ``S(M(w))`` is :func:`_qubit_entropy`,
-    whose floor check is the positivity check, and ``s0 = S(m0)``, ``s1 = S(m1)``
-    are its values at ``w = 1`` and ``w = 0``, taken once. With ``du = u(1) - u(0)``,
+    and ``s0 = S(m0)``, ``s1 = S(m1)`` are its values at ``w = 1`` and ``w = 0``,
+    taken once. With ``du = u(1) - u(0)``,
     ``L = log2((h + R) / (h - R))`` and ``k = u . du / R``,
     ``chi' = s1 - s0 - k L`` and ``chi'' = -((|du|^2 - k^2) L / R + 2 h k^2 / (ln 2 (h^2 - R^2)))``.
     Where ``u . du = 0`` or ``h - R <= 0`` (``m0 = m1`` pure, where chi
     vanishes), ``chi' = s1 - s0`` and ``chi''`` reads 0.
     """
     cols = ch.kraus.reshape(ch.n_kraus, -1, 2, 2)
-    m0, m1 = np.einsum("arti,arui->itu", cols, cols.conj())
-    a0, d0, b0 = _qubit_entries(m0)
-    s0 = _qubit_entropy(a0, d0, b0)
-    a1, d1, b1 = _qubit_entries(m1)
-    s1 = _qubit_entropy(a1, d1, b1)
-    # A mixture of two states above the floor stays above it (the smallest
-    # eigenvalue is concave), so later evaluations cannot raise.
+    m0, m1 = np.einsum("arti,arui->itu", cols, cols.conj()).tolist()
+    (a0, d0, b0), (a1, d1, b1) = ((m[0][0].real, m[1][1].real, m[1][0]) for m in (m0, m1))
+    s0, s1 = _qubit_entropy(a0, d0, b0), _qubit_entropy(a1, d1, b1)
     du = (0.5 * ((a0 - d0) - (a1 - d1)), (b0 - b1).real, (b0 - b1).imag)
     du2 = du[0] * du[0] + du[1] * du[1] + du[2] * du[2]
 
@@ -322,8 +303,8 @@ def classical_capacity(ch: Channel) -> CapacityResult:
     target marginal over ``w`` by a safeguarded Newton iteration on its exact
     slope and curvature inside a bisection bracket. The input space and the
     target (last) output factor must be qubits. The two target marginals are
-    built and checked once, at entry; their entropies and each evaluation are
-    closed-form 2 x 2 arithmetic on their mixture, with no eigensolver call.
+    built once, at entry; their entropies and each evaluation are closed-form
+    2 x 2 arithmetic on their mixture, with no eigensolver call.
 
     chi is concave, so ``converged`` is a certificate: the solve stopped at a
     weight where ``|chi'| <= 1e-8``, so the value is within 1e-8 bits of the

@@ -10,6 +10,7 @@ Entropies are reported in bits (log base 2) throughout.
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,13 +69,14 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> 
     Raises
     ------
     ValueError
-        If ``prod(dims)`` does not match the matrix dimension or ``keep``
-        is empty or out of range.
+        If a dimension is not a positive integer, ``prod(dims)`` does not
+        match the matrix dimension, or ``keep`` is empty or out of range.
     """
     rho = as_complex_matrix(rho)
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
+    given = tuple(dims)
+    if not all(isinstance(d, numbers.Integral) and d >= 1 for d in given):
+        raise ValueError(f"subsystem dimensions must be positive integers, got {given}")
+    dims = tuple(map(int, given))
     total = int(np.prod(dims))
     if rho.shape != (total, total):
         raise ValueError(

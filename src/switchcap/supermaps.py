@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import operator
 from enum import Enum
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -117,7 +117,7 @@ def fold(
 
 
 class _Composite(NamedTuple):
-    """The fields of a :class:`Channel`, before it is built and checked."""
+    """The fields of a :class:`Channel`, before it is built and checked; the rules read either."""
 
     kraus: np.ndarray
     input_dims: tuple
@@ -125,11 +125,11 @@ class _Composite(NamedTuple):
     label: str
 
 
-def _composite(ch: Channel) -> _Composite:
-    return _Composite(ch.kraus, ch.input_dims, ch.output_dims, ch.label)
+#: A rule's operand: a built ``Channel`` or a composite not yet built.
+_Node = Union[Channel, _Composite]
 
 
-def _require_square_equal(first: _Composite, second: _Composite) -> None:
+def _require_square_equal(first: _Node, second: _Node) -> None:
     dims = {(c.kraus.shape[2], c.kraus.shape[1]) for c in (first, second)}
     if len(dims) != 1:
         raise ValueError(f"channels must share one dimension, got {sorted(dims)}")
@@ -169,7 +169,7 @@ def _switch_kraus(k: np.ndarray, l: np.ndarray) -> np.ndarray:
     return _controlled(lk.transpose(2, 0, 1, 3), kl.transpose(0, 2, 1, 3))
 
 
-def _switch_rule(first: _Composite, second: _Composite) -> _Composite:
+def _switch_rule(first: _Node, second: _Node) -> _Composite:
     _require_square_equal(first, second)
     return _Composite(
         _switch_kraus(first.kraus, second.kraus),
@@ -188,7 +188,7 @@ def concentrated_amplitudes(n: int) -> np.ndarray:
 
 
 def _coh_rule(
-    first: _Composite, alpha: Optional[Sequence], second: _Composite, beta: Optional[Sequence]
+    first: _Node, alpha: Optional[Sequence], second: _Node, beta: Optional[Sequence]
 ) -> _Composite:
     """The rule of :func:`coherent_superposition`, which checks ``alpha`` then ``beta``."""
     _require_square_equal(first, second)
@@ -224,11 +224,11 @@ def compose(
     """
     vectors = iter(node_amps)
 
-    def superpose(first: _Composite, second: _Composite) -> _Composite:
+    def superpose(first: _Node, second: _Node) -> _Composite:
         vec = next(vectors)
         return _coh_rule(first, vec, second, vec)
 
-    return Channel(*fold(kind, lambda index: _composite(channels[index]), _switch_rule, superpose))
+    return Channel(*fold(kind, channels.__getitem__, _switch_rule, superpose))
 
 
 def switch(e1: Channel, e2: Channel) -> Channel:
@@ -239,7 +239,7 @@ def switch(e1: Channel, e2: Channel) -> Channel:
     ``|0><0| (x) L_j K_i + |1><1| (x) K_i L_j = L_j K_i (+) K_i L_j`` over
     all Kraus pairs.
     """
-    return Channel(*_switch_rule(_composite(e1), _composite(e2)))
+    return Channel(*_switch_rule(e1, e2))
 
 
 def coherent_superposition(
@@ -263,7 +263,7 @@ def coherent_superposition(
     when the channels are not square of one dimension, or an amplitude
     vector has the wrong length or is not normalized.
     """
-    return Channel(*_coh_rule(_composite(e1), alpha, _composite(e2), beta))
+    return Channel(*_coh_rule(e1, alpha, e2, beta))
 
 
 def fix_control(ch: Channel, control: Optional[np.ndarray] = None) -> Channel:

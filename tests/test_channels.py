@@ -341,6 +341,28 @@ class TestChannelStorage:
             assert_array_equal(k, expected)
         assert_array_equal(np.vstack(ch.kraus), np.vstack(source))
 
+    @pytest.mark.parametrize(
+        "input_dims,output_dims",
+        [
+            ((2.7,), (2,)),
+            ((2,), (2.5,)),
+            ((2.0,), (2,)),
+            ((np.nan,), (2,)),
+            ((0,), (2,)),
+            (("2",), (2,)),
+        ],
+        ids=["fractional_input", "fractional_output", "float", "nan", "zero", "string"],
+    )
+    def test_rejects_invalid_dimensions(self, input_dims, output_dims):
+        # A fractional dimension is not truncated to a smaller subsystem.
+        with pytest.raises(ValueError, match=r"^subsystem dimensions must be positive integers$"):
+            Channel((np.eye(2),), input_dims, output_dims)
+
+    def test_numpy_integer_dimensions_are_stored_as_ints(self):
+        ch = Channel((np.eye(2),), (np.int64(2),), (np.uint8(2),))
+        assert ch.input_dims == ch.output_dims == (2,)
+        assert all(type(d) is int for d in ch.input_dims + ch.output_dims)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match \(2, 2\)"):
             Channel((np.eye(2), np.zeros((3, 3))), (2,), (2,))

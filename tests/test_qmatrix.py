@@ -85,6 +85,20 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(rho, (2, 2), keep=[2])
 
+    @pytest.mark.parametrize(
+        "dims",
+        [(2.7, 2), (2.0, 2), (np.inf, 2), (2, 0), (-2, -2)],
+        ids=["fractional", "float", "inf", "zero", "negative"],
+    )
+    def test_invalid_dimensions_rejected(self, dims):
+        # A fractional dimension is not truncated to a smaller subsystem.
+        with pytest.raises(ValueError, match="subsystem dimensions must be positive integers"):
+            partial_trace(np.eye(4) / 4, dims, keep=[0])
+
+    def test_numpy_integer_dimensions_accepted(self):
+        dims = (np.int64(2), np.uint8(2))
+        assert_allclose(partial_trace(np.eye(4) / 4, dims, keep=[0]), np.eye(2) / 2)
+
 
 class TestEigHermitian:
     def test_diagonal(self):

@@ -120,6 +120,60 @@ def test_check_sees_unread_private_names(tmp_path):
     ]
 
 
+#: Texts of the state rules: only :mod:`switchcap.qmatrix` decides and words them.
+STATE_RULE_TEXTS = ("matrix contains NaN or Inf entries", "not Hermitian", "below positivity floor")
+
+
+def _raised_texts(paths, texts) -> dict:
+    """``{text: names of the files in paths that raise it}``, for each of ``texts``.
+
+    A file raises a text when a string constant inside one of its ``raise``
+    statements, an f-string part included, contains it.
+    """
+    found = {text: set() for text in texts}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                for const in ast.walk(node):
+                    if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                        for text in texts:
+                            if text in const.value:
+                                found[text].add(path.name)
+    return found
+
+
+def test_state_rules_are_raised_by_qmatrix_alone():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 1
+    assert _raised_texts(sources, STATE_RULE_TEXTS) == {
+        text: {"qmatrix.py"} for text in STATE_RULE_TEXTS
+    }
+
+
+def test_check_sees_raised_texts(tmp_path):
+    # Seen: a plain string, an f-string part, a constant nested in a call. Not
+    # seen: a docstring, and a text bound to a name outside the raise.
+    source = tmp_path / "probe.py"
+    source.write_text(
+        '"""Raises when a matrix is not Hermitian."""\n'
+        "MESSAGE = 'below positivity floor'\n"
+        "def check(m, dev):\n"
+        "    if m is None:\n"
+        "        raise ValueError('matrix contains NaN or Inf entries')\n"
+        "    if dev:\n"
+        "        raise ValueError(f'matrix is not Hermitian (max deviation {dev:.3e})')\n"
+        "    raise TypeError(str(MESSAGE))\n",
+        encoding="utf-8",
+    )
+    other = tmp_path / "other.py"
+    other.write_text("raise RuntimeError(' '.join(['below positivity floor']))\n", encoding="utf-8")
+    assert _raised_texts([source, other], STATE_RULE_TEXTS) == {
+        "matrix contains NaN or Inf entries": {"probe.py"},
+        "not Hermitian": {"probe.py"},
+        "below positivity floor": {"other.py"},
+    }
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Exports no module under ``src/``, ``demos/`` or ``perfbench/`` reads, each kept
