@@ -123,8 +123,6 @@ def _grid(start: float, end: float, steps: int) -> List[float]:
         raise _UsageError("--p-start and --p-end must lie in [0, 1]")
     if start > end:
         raise _UsageError("--p-start must not exceed --p-end")
-    if steps == 1:
-        return [start]
     return [float(v) for v in np.linspace(start, end, steps)]
 
 

@@ -9,7 +9,6 @@ at the uniform superposition.
 
 from __future__ import annotations
 
-import operator
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -71,40 +70,35 @@ def family_channels(family: Family, p: float, count: int) -> tuple:
 
 
 def build_supermap(
-    kind: SupermapKind,
-    family: Family,
-    p: float,
-    amps: Optional[Sequence[complex]] = None,
-    outer_amps: Optional[Sequence[complex]] = None,
+    kind: SupermapKind, family: Family, p: float, amps: Optional[Sequence[complex]] = None
 ) -> Channel:
     """Compose the configuration ``kind`` over channels of ``family`` at ``p``.
 
-    The composition tree of ``kind`` is folded by
-    :func:`~switchcap.supermaps.compose` into one checked ``Channel``. Each
-    superposition gives both of its children one vacuum-amplitude vector:
-    ``outer_amps`` if another superposition lies below it (the outer level
-    of ``COH_OF_COH``, indexed by the inner composite Kraus indices), and
-    ``amps`` otherwise (so for ``COH_OF_SWITCH`` it is the outer vector
-    over the inner switch Kraus indices). ``None`` selects the concentrated
-    default ``(1, 0, ..., 0)``. A vector no superposition of ``kind`` reads
-    is rejected before anything is composed.
+    :func:`~switchcap.supermaps.compose` folds the tree of ``kind`` into one
+    checked ``Channel``. Each superposition gives both of its children one
+    vacuum-amplitude vector: ``amps`` if no other superposition lies below
+    it (so for ``COH_OF_SWITCH`` it is the outer vector over the inner
+    switch Kraus indices), else the concentrated default ``(1, 0, ..., 0)``
+    that ``amps=None`` selects everywhere. ``amps`` is rejected for a
+    ``kind`` without a superposition. Any other choice of vectors, one per
+    node, goes through :func:`~switchcap.supermaps.compose`.
     """
-    chans = family_channels(family, p, kind.n_channels)
-    # For each superposition, in fold order: is another superposition below it?
-    nested = fold(kind, lambda index: [], operator.add, lambda a, b: a + b + [bool(a or b)])
-    if outer_amps is not None and not any(nested):
-        raise ValueError(f"outer_amps only applies to coc, not {kind.token}")
-    if amps is not None and all(nested):
+
+    def merge(a, b, *vector):
+        return a[0] + b[0], a[1] + b[1] + list(vector)
+
+    # The leaf count, and the vector of each superposition in fold order.
+    count, vectors = fold(
+        kind, lambda index: (1, []), merge, lambda a, b: merge(a, b, None if a[1] or b[1] else amps)
+    )
+    chans = family_channels(family, p, count)
+    if amps is not None and not vectors:
         raise ValueError(f"{kind.token} does not take vacuum amplitudes")
-    return compose(kind, chans, [outer_amps if below else amps for below in nested])
+    return compose(kind, chans, vectors)
 
 
 def build_fixed(
-    kind: SupermapKind,
-    family: Family,
-    p: float,
-    amps: Optional[Sequence[complex]] = None,
-    outer_amps: Optional[Sequence[complex]] = None,
+    kind: SupermapKind, family: Family, p: float, amps: Optional[Sequence[complex]] = None
 ) -> Channel:
     """Composed configuration with its control fixed at ``|+...+>``."""
-    return fix_control(build_supermap(kind, family, p, amps, outer_amps))
+    return fix_control(build_supermap(kind, family, p, amps))

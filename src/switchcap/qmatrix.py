@@ -70,7 +70,8 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> 
     ------
     ValueError
         If a dimension is not a positive integer, ``prod(dims)`` does not
-        match the matrix dimension, or ``keep`` is empty or out of range.
+        match the matrix dimension, or ``keep`` is empty, out of range or
+        holds a non-integer.
     """
     rho = as_complex_matrix(rho)
     given = tuple(dims)
@@ -82,7 +83,10 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> 
         raise ValueError(
             f"matrix of shape {rho.shape} does not factor as subsystems {dims}"
         )
-    keep = sorted(set(int(k) for k in keep))
+    keep = tuple(keep)
+    if not all(isinstance(k, numbers.Integral) for k in keep):
+        raise ValueError(f"keep indices must be integers, got {keep}")
+    keep = sorted(set(map(int, keep)))
     if not keep:
         raise ValueError("keep must name at least one subsystem")
     if keep[0] < 0 or keep[-1] >= len(dims):

@@ -9,17 +9,15 @@ configuration is a tree of the two rules over its constituent channels.
 ``_TREES`` holds the tree of each of the six, and :func:`fold` is the one
 reader of its encoding: :func:`compose` folds it into Kraus operators,
 and :func:`switchcap.oracle.effective_flip_probability` into Bloch
-z-multipliers.
+z-multipliers. :func:`compose` first checks its counts of channels and vectors.
 
 Each rule is one private function on the stacked Kraus operators of its
 two children, built by literal substitution, so the Kraus count multiplies
 (m inner times n inner operators give m*n composed ones). ``switch`` and
 ``coherent_superposition`` wrap one checked
 :class:`~switchcap.channels.Channel` around one application; :func:`compose`
-folds a whole configuration with the same rules and checks only its root.
-Each application allocates its output array once, in :func:`_controlled`,
-and returns it read-only; the root's ``Channel`` adopts that array without
-a copy, so the 256 operators of a nested qubit configuration exist once.
+folds a whole configuration with the same rules and checks only its root,
+which adopts the array :func:`_controlled` allocated without a copy.
 
 Ordering convention: composite spaces are control-major, ``control (x)
 target`` with any outer control first, so a controlled operator
@@ -27,17 +25,14 @@ target`` with any outer control first, so a controlled operator
 block index of a direct sum is the control basis index. The control
 qubit of branch order "first argument first" is ``|0>``.
 
-``fix_control`` freezes the control factors at a ket, uniform by default,
-yielding a rectangular-Kraus channel from the bare target space to the
-full output space, which is what the capacity optimizers consume. It
-returns at most ``d_in * d_out`` Kraus operators (16 for a nested
-composition over qubits, whatever the composed count). Only this fixed
+``fix_control`` freezes the control factors at a ket and yields the
+rectangular channel on the bare target that the capacity optimizers
+consume, with at most ``d_in * d_out`` Kraus operators. Only this fixed
 channel is compressed: a superposition depends on the Kraus
 representation of its channels and their vacuum amplitudes, not only on
 the channels (Chiribella & Kristjansson 2019, "Quantum Shannon theory
 with superpositions of trajectories"), so the composed channels keep
-every operator. The fixed channel is rectangular, so it cannot be
-composed further.
+every operator.
 """
 
 from __future__ import annotations
@@ -207,21 +202,29 @@ def _coh_rule(
     )
 
 
-def compose(
-    kind: SupermapKind, channels: Sequence[Channel], node_amps: Sequence
-) -> Channel:
+def compose(kind: SupermapKind, channels: Sequence[Channel], node_amps: Sequence) -> Channel:
     """The configuration ``kind`` over ``channels``, one per leaf index.
 
     ``node_amps`` holds one vacuum-amplitude vector per superposition node
-    in fold order, ``None`` selecting the concentrated default ``(1, 0, ...,
-    0)``. A superposition gives its vector to both children, checked as
-    :func:`coherent_superposition` checks it. The tree folds with the rules
-    of ``switch`` and ``coherent_superposition`` over stacked Kraus arrays,
-    and only the root becomes a checked :class:`Channel`. Inner nodes need
-    no check: for complete ``{K_i}`` and ``{L_j}``, ``sum (L K)^dag (L K) =
-    sum K^dag (sum L^dag L) K = I`` in either order, and with unit
-    amplitude vectors each superposition block sums to ``I`` as well.
+    in fold order, ``None`` selecting the concentrated default; it is the
+    one way to give each node its own vector. Both children of a node get
+    its vector, checked as :func:`coherent_superposition` checks it. Counts
+    of channels or vectors that do not match the tree raise ``ValueError``
+    before anything is composed. Only the root becomes a checked
+    :class:`Channel`. Inner nodes need no check: for complete ``{K_i}`` and
+    ``{L_j}``, ``sum (L K)^dag (L K) = sum K^dag (sum L^dag L) K = I`` in
+    either order, and unit amplitude vectors keep each superposition complete.
     """
+
+    def count(a, b, node=0):
+        return a[0] + b[0], a[1] + b[1] + node
+
+    leaves, nodes = fold(kind, lambda index: (1, 0), count, lambda a, b: count(a, b, 1))
+    if (len(channels), len(node_amps)) != (leaves, nodes):
+        raise ValueError(
+            f"{kind.token} takes {leaves} channels and {nodes} vacuum-amplitude vectors "
+            f"(one per superposition), got {len(channels)} and {len(node_amps)}"
+        )
     vectors = iter(node_amps)
 
     def superpose(first: _Node, second: _Node) -> _Composite:

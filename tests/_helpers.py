@@ -1,7 +1,5 @@
 """Shared helpers for the test suite."""
 
-import operator
-
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -60,22 +58,40 @@ def eligible_families(kind):
     return [f for f in Family if not (kind.n_channels == 2 and f is Family.MIXED_BLOCK)]
 
 
-def reference_build(kind, family, p, amps=None, outer_amps=None):
-    """``build_supermap`` as a fold over the public ``switch`` and
+def reference_build(kind, family, p, node_amps):
+    """``compose`` as a fold over the public ``switch`` and
     ``coherent_superposition``, one checked channel per node.
 
-    Each superposition reads ``outer_amps`` if another superposition lies
-    below it, else ``amps``; ``None`` is the concentrated default.
+    ``node_amps`` holds one vector per superposition in fold order, as
+    ``compose`` takes it; ``None`` is the concentrated default.
     """
     chans = family_channels(family, p, kind.n_channels)
-    nested = fold(kind, lambda index: [], operator.add, lambda a, b: a + b + [bool(a or b)])
-    node_amps = iter([outer_amps if below else amps for below in nested])
+    vectors = iter(node_amps)
 
     def superpose(first, second):
-        vec = next(node_amps)
+        vec = next(vectors)
         return coherent_superposition(first, vec, second, vec)
 
     return fold(kind, chans.__getitem__, switch, superpose)
+
+
+def drawn_node_amps(rng, kind, n):
+    """One random complex unit vector per superposition of ``kind``, in fold order.
+
+    ``n`` is the Kraus count of each leaf; each vector has one amplitude
+    per Kraus operator of its node's children.
+    """
+
+    def merge(a, b, *vector):
+        return a[0] * b[0], a[1] + b[1] + list(vector)
+
+    _, vectors = fold(
+        kind,
+        lambda index: (n, []),
+        merge,
+        lambda a, b: merge(a, b, random_unit_vector(rng, a[0])),
+    )
+    return vectors
 
 
 def random_channel(rng, d_in, d_out, n):

@@ -19,11 +19,11 @@ from switchcap.channels import (
     phase_flip,
 )
 from switchcap.cli import main as cli_main
-from switchcap.configs import Family, build_fixed, build_supermap
+from switchcap.configs import Family, build_fixed, build_supermap, family_channels
 from switchcap.infotheory import OptimizerConfig, classical_capacity, quantum_capacity
 from switchcap.oracle import CapacityType, ClosedFormId, closed_form, list_available
 from switchcap.qmatrix import partial_trace, von_neumann_entropy
-from switchcap.supermaps import SupermapKind, fix_control, switch
+from switchcap.supermaps import SupermapKind, compose, fix_control, switch
 
 GRID = [float(p) for p in np.linspace(0.0, 1.0, 21)]
 INTERIOR = GRID[1:-1]
@@ -55,12 +55,15 @@ NESTED = (
 )
 
 
-@functools.lru_cache(maxsize=None)
-def capacity(kind, family, p, capacity_type, amps=None, outer_amps=None):
-    fixed = build_fixed(kind, family, p, amps, outer_amps)
+def solve(fixed, capacity_type):
     if capacity_type is CapacityType.CLASSICAL:
         return classical_capacity(fixed).value
     return quantum_capacity(fixed, CFG).value
+
+
+@functools.lru_cache(maxsize=None)
+def capacity(kind, family, p, capacity_type, amps=None):
+    return solve(build_fixed(kind, family, p, amps), capacity_type)
 
 
 def _report(number, text):
@@ -174,17 +177,20 @@ def test_criterion_4_ordering_claims():
 
     # (c) quantum: same dominance, evaluated with uniform path amplitudes
     # for the nested coherent constructions (the pair superposition keeps
-    # its optimal concentrated default)
-    nested_quantum_args = {
-        SupermapKind.SWITCH_OF_SWITCH: (None, None),
-        SupermapKind.SWITCH_OF_COH: (UNIFORM_4, None),
-        SupermapKind.COH_OF_SWITCH: (UNIFORM_16, None),
-        SupermapKind.COH_OF_COH: (UNIFORM_4, UNIFORM_16),
+    # its optimal concentrated default); one vector per superposition, in
+    # fold order
+    nested_quantum_node_amps = {
+        SupermapKind.SWITCH_OF_SWITCH: [],
+        SupermapKind.SWITCH_OF_COH: [UNIFORM_4, UNIFORM_4],
+        SupermapKind.COH_OF_SWITCH: [UNIFORM_16],
+        SupermapKind.COH_OF_COH: [UNIFORM_4, UNIFORM_4, UNIFORM_16],
     }
     for p in INTERIOR:
         coh = capacity(SupermapKind.COHERENT_SUP, Family.DEPOLARIZING, p, CapacityType.QUANTUM)
-        for kind, (amps, outer) in nested_quantum_args.items():
-            nested = capacity(kind, Family.DEPOLARIZING, p, CapacityType.QUANTUM, amps, outer)
+        channels = family_channels(Family.DEPOLARIZING, p, 4)
+        for kind, node_amps in nested_quantum_node_amps.items():
+            fixed = fix_control(compose(kind, channels, node_amps))
+            nested = solve(fixed, CapacityType.QUANTUM)
             assert coh >= nested - ORDERING_SLACK, (p, kind, coh, nested)
     _report(4, "ordering claims (double switch weakest; pair superposition dominant for depolarizing)")
 

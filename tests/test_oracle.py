@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from _helpers import eligible_families, random_unit_vector
+from _helpers import drawn_node_amps, eligible_families
 from switchcap import supermaps
-from switchcap.configs import Family, build_fixed, build_supermap
+from switchcap.configs import Family, build_fixed, family_channels
 from switchcap.infotheory import target_marginal
 from switchcap.oracle import (
     CapacityType,
@@ -13,7 +13,7 @@ from switchcap.oracle import (
     effective_flip_probability,
     list_available,
 )
-from switchcap.supermaps import SupermapKind
+from switchcap.supermaps import SupermapKind, compose, fix_control
 
 C = CapacityType.CLASSICAL
 Q = CapacityType.QUANTUM
@@ -22,9 +22,16 @@ GRID = np.linspace(0.0, 1.0, 201)
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 
 
-def _flip_of_kraus_build(kind, family, p, amps=None, outer_amps=None):
-    """``<1| target_marginal(|0><0|) |1>`` of the composed, fixed channel."""
-    fixed = build_fixed(kind, family, p, amps, outer_amps)
+def _flip_of_kraus_build(kind, family, p, node_amps=None):
+    """``<1| target_marginal(|0><0|) |1>`` of the composed, fixed channel.
+
+    ``build_fixed`` composes it with default amplitudes, and ``compose`` with
+    the vectors ``node_amps``, one per superposition.
+    """
+    if node_amps is None:
+        fixed = build_fixed(kind, family, p)
+    else:
+        fixed = fix_control(compose(kind, family_channels(family, p, kind.n_channels), node_amps))
     return target_marginal(fixed, KET0)[1, 1].real
 
 
@@ -206,14 +213,8 @@ class TestFlipProbabilityModel:
         for family in (Family.BIT_FLIP, Family.MIXED_ALTERNATING, Family.DEPOLARIZING):
             n = 4 if family is Family.DEPOLARIZING else 2
             for p in rng.uniform(size=3):
-                if kind is SupermapKind.COH_OF_SWITCH:
-                    amps, outer = random_unit_vector(rng, n * n), None
-                elif kind is SupermapKind.COH_OF_COH:
-                    amps, outer = random_unit_vector(rng, n), random_unit_vector(rng, n * n)
-                else:
-                    amps, outer = random_unit_vector(rng, n), None
                 expected = effective_flip_probability(kind, family, p)
-                numeric = _flip_of_kraus_build(kind, family, p, amps, outer)
+                numeric = _flip_of_kraus_build(kind, family, p, drawn_node_amps(rng, kind, n))
                 assert numeric == pytest.approx(expected, abs=1e-12), (family, p)
 
     @pytest.mark.parametrize(
@@ -231,14 +232,9 @@ class TestFlipProbabilityModel:
         kind = SupermapKind.COH_OF_COH
         monkeypatch.setitem(supermaps._TREES, kind, tree)
         assert kind.n_channels == 4
-        # A root superposition over a superposition reads ``outer_amps``,
-        # indexed by its children's n * n composite Kraus indices, and the
-        # inner one ``amps``; with no superposition below another, none
-        # reads ``outer_amps``.
-        two_depths = tree[0] == "coh"
-        if not two_depths:
-            with pytest.raises(ValueError, match="outer_amps only applies to coc"):
-                build_supermap(kind, Family.BIT_FLIP, 0.3, outer_amps=[1, 0, 0, 0])
+        # Each superposition takes its own drawn vector through ``compose``;
+        # a root superposition over a switch and a superposition reads one
+        # amplitude per n * n composite Kraus index of its children.
         rng = np.random.default_rng(29)
         for family in (Family.BIT_FLIP, Family.MIXED_BLOCK, Family.DEPOLARIZING):
             n = 4 if family is Family.DEPOLARIZING else 2
@@ -246,7 +242,5 @@ class TestFlipProbabilityModel:
                 expected = effective_flip_probability(kind, family, p)
                 numeric = _flip_of_kraus_build(kind, family, p)
                 assert numeric == pytest.approx(expected, abs=1e-12), (family, p)
-                if two_depths:
-                    amps, outer = random_unit_vector(rng, n), random_unit_vector(rng, n * n)
-                    numeric = _flip_of_kraus_build(kind, family, p, amps, outer)
-                    assert numeric == pytest.approx(expected, abs=1e-12), (family, p)
+                numeric = _flip_of_kraus_build(kind, family, p, drawn_node_amps(rng, kind, n))
+                assert numeric == pytest.approx(expected, abs=1e-12), (family, p)

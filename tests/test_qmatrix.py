@@ -99,6 +99,21 @@ class TestPartialTrace:
         dims = (np.int64(2), np.uint8(2))
         assert_allclose(partial_trace(np.eye(4) / 4, dims, keep=[0]), np.eye(2) / 2)
 
+    @pytest.mark.parametrize(
+        "keep", [[0.7], [0, 1.0], [np.float64(1.0)]], ids=["fractional", "float", "numpy_float"]
+    )
+    def test_non_integer_keep_indices_rejected(self, keep):
+        # 0.7 is not truncated to factor 0, which would return diag(1, 0) here.
+        rho = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
+        with pytest.raises(ValueError, match=r"keep indices must be integers, got \("):
+            partial_trace(rho, (2, 2), keep=keep)
+
+    def test_numpy_integer_keep_indices_accepted(self):
+        rho = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
+        keep = [np.int64(0), np.uint8(1)]
+        assert_allclose(partial_trace(rho, (2, 2), keep=keep), rho)
+        assert_allclose(partial_trace(rho, (2, 2), keep=[np.int32(1)]), np.eye(2) / 2)
+
 
 class TestEigHermitian:
     def test_diagonal(self):

@@ -16,6 +16,7 @@ from _helpers import (
     plus_state,
     random_channel,
     random_density,
+    drawn_node_amps,
     random_unit_vector,
     reference_build,
     uncompressed_fixed,
@@ -36,6 +37,7 @@ from switchcap.qmatrix import partial_trace
 from switchcap.supermaps import (
     SupermapKind,
     coherent_superposition,
+    compose,
     concentrated_amplitudes,
     fix_control,
     fold,
@@ -46,6 +48,19 @@ KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 
 ALL_KINDS = list(SupermapKind)
+
+#: The vectors ``build_supermap(kind, family, p, a)`` gives the superpositions
+#: of ``kind`` in fold order: ``a`` where no superposition lies below, else
+#: the concentrated default.
+ROUTES = {
+    SupermapKind.SWITCH: lambda a: [],
+    SupermapKind.COHERENT_SUP: lambda a: [a],
+    SupermapKind.SWITCH_OF_SWITCH: lambda a: [],
+    SupermapKind.SWITCH_OF_COH: lambda a: [a, a],
+    SupermapKind.COH_OF_SWITCH: lambda a: [a],
+    SupermapKind.COH_OF_COH: lambda a: [a, a, None],
+}
+SUPERPOSING_KINDS = [kind for kind in ALL_KINDS if ROUTES[kind](None)]
 
 
 class TestSwitch:
@@ -349,7 +364,7 @@ class TestBuildWork:
 class TestFold:
     def test_superpositions_are_reached_in_post_order(self):
         # Children fold before their parent, first before second: the order
-        # in which ``build_supermap`` hands out one amplitude vector per node.
+        # in which ``compose`` takes one amplitude vector per node.
         visited = []
 
         def coh_rule(first, second):
@@ -365,11 +380,6 @@ class TestAmplitudeRejection:
     def test_amps_rejected_without_a_superposition(self, kind):
         with pytest.raises(ValueError, match="does not take vacuum amplitudes"):
             build_supermap(kind, Family.BIT_FLIP, 0.3, amps=(1.0, 0.0))
-
-    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k is not SupermapKind.COH_OF_COH])
-    def test_outer_amps_rejected_except_for_coc(self, kind):
-        with pytest.raises(ValueError, match="outer_amps only applies to coc"):
-            build_supermap(kind, Family.BIT_FLIP, 0.3, outer_amps=(1.0, 0.0, 0.0, 0.0))
 
     def test_nan_amplitudes_rejected_by_the_norm_check(self):
         with pytest.raises(ValueError, match="vacuum amplitudes have squared norm nan"):
@@ -397,11 +407,12 @@ class TestAmplitudeRejection:
              "vacuum amplitudes have squared norm 2.0, expected 1"),
             (SupermapKind.COH_OF_SWITCH, Family.PHASE_FLIP, "amps", [np.nan, 0.0, 0.0, 0.0],
              "vacuum amplitudes have squared norm nan, expected 1"),
-            (SupermapKind.COH_OF_COH, Family.DEPOLARIZING, "outer_amps", [1.0, 0.0, 0.0, 0.0],
+            # The outer superposition of ``coc``, given its vector through ``compose``.
+            (SupermapKind.COH_OF_COH, Family.DEPOLARIZING, "outer", [1.0, 0.0, 0.0, 0.0],
              "expected 16 vacuum amplitudes (one per Kraus operator), got 4"),
-            (SupermapKind.COH_OF_COH, Family.BIT_FLIP, "outer_amps", [1.0, 1.0, 0.0, 0.0],
+            (SupermapKind.COH_OF_COH, Family.BIT_FLIP, "outer", [1.0, 1.0, 0.0, 0.0],
              "vacuum amplitudes have squared norm 2.0, expected 1"),
-            (SupermapKind.COH_OF_COH, Family.MIXED_ALTERNATING, "outer_amps", [np.nan, 0, 0, 0],
+            (SupermapKind.COH_OF_COH, Family.MIXED_ALTERNATING, "outer", [np.nan, 0, 0, 0],
              "vacuum amplitudes have squared norm nan, expected 1"),
         ],
     )
@@ -409,8 +420,72 @@ class TestAmplitudeRejection:
         self, kind, family, which, vec, message
     ):
         with pytest.raises(ValueError) as info:
-            build_supermap(kind, family, 0.3, **{which: vec})
+            if which == "amps":
+                build_supermap(kind, family, 0.3, vec)
+            else:
+                compose(kind, family_channels(family, 0.3, 4), [None, None, vec])
         assert str(info.value) == message
+
+
+class TestComposeCounts:
+    """``compose`` takes exactly one channel per leaf and one vector per
+    superposition, and rejects any other count before building a channel."""
+
+    @pytest.fixture
+    def rejected(self, monkeypatch):
+        """``compose``'s error message, asserting that it checked no channel."""
+        calls = []
+        init = Channel.__post_init__
+        monkeypatch.setattr(Channel, "__post_init__", lambda ch: calls.append(1) or init(ch))
+
+        def run(kind, channels, node_amps):
+            before = len(calls)
+            with pytest.raises(ValueError) as info:
+                compose(kind, channels, node_amps)
+            assert len(calls) == before
+            return str(info.value)
+
+        return run
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_wrong_channel_count_rejected(self, kind, rejected):
+        n, nodes = kind.n_channels, ROUTES[kind](None)
+        for count in (n - 1, n + 1):
+            channels = family_channels(Family.BIT_FLIP, 0.3, count)
+            assert rejected(kind, channels, nodes) == (
+                f"{kind.token} takes {n} channels and {len(nodes)} vacuum-amplitude vectors "
+                f"(one per superposition), got {count} and {len(nodes)}"
+            )
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_wrong_vector_count_rejected(self, kind, rejected):
+        n, nodes = kind.n_channels, ROUTES[kind](None)
+        channels = family_channels(Family.BIT_FLIP, 0.3, n)
+        for given in [g for g in (len(nodes) - 1, len(nodes) + 1) if g >= 0]:
+            assert rejected(kind, channels, [None] * given) == (
+                f"{kind.token} takes {n} channels and {len(nodes)} vacuum-amplitude vectors "
+                f"(one per superposition), got {n} and {given}"
+            )
+
+    @pytest.mark.parametrize(
+        ("kind", "count", "node_amps", "message"),
+        [
+            (SupermapKind.SWITCH_OF_SWITCH, 2, [], "sos takes 4 channels and 0 "
+             "vacuum-amplitude vectors (one per superposition), got 2 and 0"),
+            (SupermapKind.COHERENT_SUP, 2, [], "cohsup takes 2 channels and 1 "
+             "vacuum-amplitude vectors (one per superposition), got 2 and 0"),
+            (SupermapKind.COHERENT_SUP, 2, [None, [0.6, 0.8, 0.0]], "cohsup takes 2 channels "
+             "and 1 vacuum-amplitude vectors (one per superposition), got 2 and 2"),
+            (SupermapKind.SWITCH, 4, [[1, 2, 3]], "switch takes 2 channels and 0 "
+             "vacuum-amplitude vectors (one per superposition), got 4 and 1"),
+        ],
+        ids=["sos_two_channels", "cohsup_no_vector", "cohsup_two_vectors", "switch_four_channels"],
+    )
+    def test_counts_checked_before_the_rules(self, kind, count, node_amps, message, rejected):
+        # Unchecked, these fail inside the fold (IndexError, a bare
+        # StopIteration) or build a channel from part of their input.
+        channels = family_channels(Family.BIT_FLIP, 0.3, count)
+        assert rejected(kind, channels, node_amps) == message
 
 
 class TestComposeEquivalence:
@@ -430,28 +505,35 @@ class TestComposeEquivalence:
         for family in eligible_families(kind):
             for p in (0.0, 0.3, 1.0):
                 self._assert_same(
-                    build_supermap(kind, family, p), reference_build(kind, family, p)
+                    build_supermap(kind, family, p),
+                    reference_build(kind, family, p, ROUTES[kind](None)),
                 )
 
-    @pytest.mark.parametrize(
-        "kind",
-        [
-            SupermapKind.COHERENT_SUP,
-            SupermapKind.SWITCH_OF_COH,
-            SupermapKind.COH_OF_SWITCH,
-            SupermapKind.COH_OF_COH,
-        ],
-    )
+    @pytest.mark.parametrize("kind", SUPERPOSING_KINDS)
     def test_drawn_complex_amplitudes(self, kind):
         rng = np.random.default_rng(43)
         for family in eligible_families(kind):
             n = 4 if family is Family.DEPOLARIZING else 2
             for p in (0.0, 0.3, 1.0):
-                amps = random_unit_vector(rng, n * n if kind is SupermapKind.COH_OF_SWITCH else n)
-                outer = random_unit_vector(rng, n * n) if kind is SupermapKind.COH_OF_COH else None
+                node_amps = drawn_node_amps(rng, kind, n)
+                chans = family_channels(family, p, kind.n_channels)
                 self._assert_same(
-                    build_supermap(kind, family, p, amps, outer),
-                    reference_build(kind, family, p, amps, outer),
+                    compose(kind, chans, node_amps),
+                    reference_build(kind, family, p, node_amps),
+                )
+
+    @pytest.mark.parametrize("kind", SUPERPOSING_KINDS)
+    def test_build_supermap_routes_amps_as_documented(self, kind):
+        # ``amps`` reaches every superposition with none below it; a
+        # superposition above another keeps the concentrated default.
+        rng = np.random.default_rng(2404)
+        for family in eligible_families(kind):
+            n = 4 if family is Family.DEPOLARIZING else 2
+            for p in (0.0, 0.3, 0.77, 1.0):
+                a = random_unit_vector(rng, n * n if kind is SupermapKind.COH_OF_SWITCH else n)
+                chans = family_channels(family, p, kind.n_channels)
+                self._assert_same(
+                    build_supermap(kind, family, p, a), compose(kind, chans, ROUTES[kind](a))
                 )
 
     @settings(derandomize=True, deadline=None)
