@@ -72,9 +72,12 @@ class Channel:
 
     def __post_init__(self):
         input_dims, output_dims = tuple(self.input_dims), tuple(self.output_dims)
-        if not all(isinstance(d, numbers.Integral) and d >= 1 for d in input_dims + output_dims):
-            raise ValueError("subsystem dimensions must be positive integers")
-        input_dims, output_dims = tuple(map(int, input_dims)), tuple(map(int, output_dims))
+        dims = input_dims + output_dims
+        # Plain ints, the common case, skip the slower ``numbers.Integral`` check.
+        if not all(type(d) is int and d >= 1 for d in dims):
+            if not all(isinstance(d, numbers.Integral) and d >= 1 for d in dims):
+                raise ValueError("subsystem dimensions must be positive integers")
+            input_dims, output_dims = tuple(map(int, input_dims)), tuple(map(int, output_dims))
         object.__setattr__(self, "input_dims", input_dims)
         object.__setattr__(self, "output_dims", output_dims)
         shape = (math.prod(output_dims), math.prod(input_dims))
@@ -130,30 +133,35 @@ def _check_probability(value: float, name: str) -> float:
     return v
 
 
+#: The Pauli operators ``I, X, Y, Z`` stacked, and the pairs the flip channels weigh.
+_PAULIS = np.stack((IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z))
+_BIT_FLIP_OPS, _PHASE_FLIP_OPS = _PAULIS[[0, 1]], _PAULIS[[0, 3]]
+
+
+def _weighted(weights: list, operators: np.ndarray) -> np.ndarray:
+    """``sqrt(w_i) * operators[i]``, as one read-only array a ``Channel`` adopts."""
+    kraus = np.sqrt(weights)[:, None, None] * operators
+    kraus.setflags(write=False)
+    return kraus
+
+
 def bit_flip(p: float) -> Channel:
     """Bit-flip channel: identity with probability 1-p, sigma_x with p."""
     p = _check_probability(p, "p")
-    kraus = (np.sqrt(1 - p) * IDENTITY_2, np.sqrt(p) * SIGMA_X)
-    return Channel(kraus, (2,), (2,), label=f"bitflip(p={p:g})")
+    return Channel(_weighted([1 - p, p], _BIT_FLIP_OPS), (2,), (2,), label=f"bitflip(p={p:g})")
 
 
 def phase_flip(p: float) -> Channel:
     """Phase-flip channel: identity with probability 1-p, sigma_z with p."""
     p = _check_probability(p, "p")
-    kraus = (np.sqrt(1 - p) * IDENTITY_2, np.sqrt(p) * SIGMA_Z)
-    return Channel(kraus, (2,), (2,), label=f"phaseflip(p={p:g})")
+    return Channel(_weighted([1 - p, p], _PHASE_FLIP_OPS), (2,), (2,), label=f"phaseflip(p={p:g})")
 
 
-def _pauli_kraus(px: float, py: float, pz: float) -> tuple:
+def _pauli_kraus(px: float, py: float, pz: float) -> np.ndarray:
     total = px + py + pz
     if total > 1.0 + 1e-12:
         raise ValueError(f"px + py + pz = {total} exceeds 1")
-    return (
-        np.sqrt(max(1 - total, 0.0)) * IDENTITY_2,
-        np.sqrt(px) * SIGMA_X,
-        np.sqrt(py) * SIGMA_Y,
-        np.sqrt(pz) * SIGMA_Z,
-    )
+    return _weighted([max(1 - total, 0.0), px, py, pz], _PAULIS)
 
 
 def pauli(px: float, py: float, pz: float) -> Channel:

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .channels import Channel, bit_flip, depolarizing, phase_flip
-from .supermaps import SupermapKind, compose, fix_control, fold
+from .supermaps import SupermapKind, compose, fix_control
 
 __all__ = ["Family", "leaf_models", "family_channels", "build_supermap", "build_fixed"]
 
@@ -81,20 +81,15 @@ def build_supermap(
     switch Kraus indices), else the concentrated default ``(1, 0, ..., 0)``
     that ``amps=None`` selects everywhere. ``amps`` is rejected for a
     ``kind`` without a superposition. Any other choice of vectors, one per
-    node, goes through :func:`~switchcap.supermaps.compose`.
+    node, goes through :func:`~switchcap.supermaps.compose`. The leaf count
+    and this routing come from the plan ``supermaps`` folds once per tree,
+    so a build walks its tree once, for the rules.
     """
-
-    def merge(a, b, *vector):
-        return a[0] + b[0], a[1] + b[1] + list(vector)
-
-    # The leaf count, and the vector of each superposition in fold order.
-    count, vectors = fold(
-        kind, lambda index: (1, []), merge, lambda a, b: merge(a, b, None if a[1] or b[1] else amps)
-    )
-    chans = family_channels(family, p, count)
-    if amps is not None and not vectors:
+    plan = kind._plan
+    chans = family_channels(family, p, plan.leaves)
+    if amps is not None and not plan.nested:
         raise ValueError(f"{kind.token} does not take vacuum amplitudes")
-    return compose(kind, chans, vectors)
+    return compose(kind, chans, [None if below else amps for below in plan.nested])
 
 
 def build_fixed(

@@ -431,7 +431,8 @@ def _starts(seed: int, restarts: int) -> np.ndarray:
 
     Row 0 is the maximally mixed input; the others are drawn uniformly in the
     ball from ``default_rng(seed)``. They depend on nothing else, so each
-    ``(seed, restarts)`` is drawn once.
+    ``(seed, restarts)`` is drawn once and shared as a view, which cannot be
+    made writable again.
     """
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(restarts - 1, 3))
@@ -439,7 +440,7 @@ def _starts(seed: int, restarts: int) -> np.ndarray:
     seeded = radii * directions / np.linalg.norm(directions, axis=1, keepdims=True)
     starts = np.vstack([np.zeros(3), seeded])
     starts.setflags(write=False)
-    return starts
+    return starts[:]
 
 
 def quantum_capacity(ch: Channel, cfg: Optional[OptimizerConfig] = None) -> CapacityResult:

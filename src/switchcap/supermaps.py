@@ -9,7 +9,11 @@ configuration is a tree of the two rules over its constituent channels.
 ``_TREES`` holds the tree of each of the six, and :func:`fold` is the one
 reader of its encoding: :func:`compose` folds it into Kraus operators,
 and :func:`switchcap.oracle.effective_flip_probability` into Bloch
-z-multipliers. :func:`compose` first checks its counts of channels and vectors.
+z-multipliers. What a build needs besides the rules (the leaf count and
+which superposition has another below it) is folded once per tree and
+cached, so :func:`compose` checks its counts of channels and vectors, and
+``build_supermap`` routes its vector, without walking the tree again.
+Nothing keyed on ``p``, amplitudes or channel contents is cached.
 
 Each rule is one private function on the stacked Kraus operators of its
 two children, built by literal substitution, so the Kraus count multiplies
@@ -18,6 +22,7 @@ two children, built by literal substitution, so the Kraus count multiplies
 :class:`~switchcap.channels.Channel` around one application; :func:`compose`
 folds a whole configuration with the same rules and checks only its root,
 which adopts the array :func:`_controlled` allocated without a copy.
+:func:`fix_control` hands its channel an array it allocated in the same way.
 
 Ordering convention: composite spaces are control-major, ``control (x)
 target`` with any outer control first, so a controlled operator
@@ -37,7 +42,7 @@ every operator.
 
 from __future__ import annotations
 
-import operator
+import functools
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
@@ -73,7 +78,12 @@ class SupermapKind(Enum):
 
     @property
     def n_channels(self) -> int:
-        return fold(self, lambda index: 1, operator.add, operator.add)
+        return self._plan.leaves
+
+    @property
+    def _plan(self) -> _Plan:
+        """The :class:`_Plan` of the tree ``_TREES`` holds for this kind."""
+        return _tree_plan(_TREES[self])
 
 
 #: Composition tree of each configuration: nested ``(rule, first, second)``
@@ -101,6 +111,11 @@ def fold(
     folded children. Children fold before their parent, first before
     second, so the rules are called in post-order.
     """
+    return _fold_tree(_TREES[kind], leaf, switch_rule, coh_rule)
+
+
+def _fold_tree(tree, leaf, switch_rule, coh_rule):
+    """:func:`fold` over the tree ``tree`` itself."""
 
     def walk(node):
         if isinstance(node, int):
@@ -108,7 +123,35 @@ def fold(
         rule, first, second = node
         return (switch_rule if rule == "switch" else coh_rule)(walk(first), walk(second))
 
-    return walk(_TREES[kind])
+    return walk(tree)
+
+
+class _Plan(NamedTuple):
+    """What a build needs of a tree besides its rules, from one fold of it.
+
+    ``nested`` holds one flag per superposition, in fold order: whether
+    another superposition lies below it.
+    """
+
+    leaves: int
+    nested: tuple
+
+
+@functools.lru_cache(maxsize=16)
+def _tree_plan(tree) -> _Plan:
+    """The :class:`_Plan` of ``tree``, folded once per tree.
+
+    It is keyed on the tree, not on its kind, so a tree put in ``_TREES``
+    gets its own plan.
+    """
+
+    def merge(a, b, *node):
+        return _Plan(a.leaves + b.leaves, a.nested + b.nested + node)
+
+    def superpose(a, b):
+        return merge(a, b, bool(a.nested or b.nested))
+
+    return _fold_tree(tree, lambda index: _Plan(1, ()), merge, superpose)
 
 
 class _Composite(NamedTuple):
@@ -174,12 +217,17 @@ def _switch_rule(first: _Node, second: _Node) -> _Composite:
     )
 
 
+@functools.lru_cache(maxsize=16, typed=True)
 def concentrated_amplitudes(n: int) -> np.ndarray:
-    """Default vacuum amplitudes ``(1, 0, ..., 0)`` of length ``n``."""
+    """Default vacuum amplitudes ``(1, 0, ..., 0)`` of length ``n``.
+
+    One vector is built per ``n`` and every call shares it, as a read-only
+    view: a view of a read-only array cannot be made writable again.
+    """
     arr = np.zeros(n, dtype=complex)
     arr[0] = 1.0
     arr.setflags(write=False)
-    return arr
+    return arr[:]
 
 
 def _coh_rule(
@@ -210,16 +258,14 @@ def compose(kind: SupermapKind, channels: Sequence[Channel], node_amps: Sequence
     one way to give each node its own vector. Both children of a node get
     its vector, checked as :func:`coherent_superposition` checks it. Counts
     of channels or vectors that do not match the tree raise ``ValueError``
-    before anything is composed. Only the root becomes a checked
+    before anything is composed; they come from the cached plan of the tree,
+    so the rules are the one walk of it. Only the root becomes a checked
     :class:`Channel`. Inner nodes need no check: for complete ``{K_i}`` and
     ``{L_j}``, ``sum (L K)^dag (L K) = sum K^dag (sum L^dag L) K = I`` in
     either order, and unit amplitude vectors keep each superposition complete.
     """
-
-    def count(a, b, node=0):
-        return a[0] + b[0], a[1] + b[1] + node
-
-    leaves, nodes = fold(kind, lambda index: (1, 0), count, lambda a, b: count(a, b, 1))
+    plan = kind._plan
+    leaves, nodes = plan.leaves, len(plan.nested)
     if (len(channels), len(node_amps)) != (leaves, nodes):
         raise ValueError(
             f"{kind.token} takes {leaves} channels and {nodes} vacuum-amplitude vectors "
@@ -283,26 +329,50 @@ def fix_control(ch: Channel, control: Optional[np.ndarray] = None) -> Channel:
     where its Choi rank is smaller, the extra operators are zero up to
     rounding. Capacities are unchanged: the complementary channel changes
     only by an isometry on the environment.
+
+    The embedding ``|c> (x) I_target`` of the default control is built once
+    per ``(d_control, d_target)``. The operators, plain or compressed, are
+    written into one array allocated here and adopted by the returned
+    channel without a copy.
     """
     if len(ch.input_dims) < 2:
         raise ValueError("channel has no control factor to fix")
     d_target = ch.input_dims[-1]
     d_control = ch.d_in // d_target
     if control is None:
-        control = np.full(d_control, d_control**-0.5)
-    cvec = unit_vector(control, d_control, "control amplitudes")
-    embed = (cvec[:, None, None] * np.eye(d_target, dtype=complex)).reshape(ch.d_in, d_target)
+        embed = _uniform_embedding(d_control, d_target)
+    else:
+        cvec = unit_vector(control, d_control, "control amplitudes")
+        embed = _embedding(cvec, d_target).reshape(ch.d_in, d_target)
     n, d_out, _ = ch.kraus.shape
-    kraus = (ch.kraus.reshape(-1, ch.d_in) @ embed).reshape(n, d_out, d_target)
-    if n > d_out * d_target:
+    rank = d_out * d_target
+    stacked = ch.kraus.reshape(-1, ch.d_in)
+    if n > rank:
         # Rows sqrt(lam_i) u_i^dag have Gram sum_i lam_i u_i u_i^dag = V^dag V.
-        v = kraus.reshape(n, -1)
+        v = (stacked @ embed).reshape(n, rank)
         eigvals, eigvecs = np.linalg.eigh(v.conj().T @ v)
-        rows = np.sqrt(np.clip(eigvals, 0.0, None))[:, None] * eigvecs.conj().T
-        kraus = rows.reshape(-1, d_out, d_target)
-    return Channel(
-        kraus,
-        (d_target,),
-        ch.output_dims,
-        label=f"{ch.label} @ fixed control",
-    )
+        kraus = np.empty((rank, d_out, d_target), dtype=complex)
+        weights = np.sqrt(np.clip(eigvals, 0.0, None))[:, None]
+        np.multiply(weights, eigvecs.conj().T, out=kraus.reshape(rank, rank))
+    else:
+        kraus = np.empty((n, d_out, d_target), dtype=complex)
+        np.matmul(stacked, embed, out=kraus.reshape(n * d_out, d_target))
+    kraus.setflags(write=False)
+    return Channel(kraus, (d_target,), ch.output_dims, label=f"{ch.label} @ fixed control")
+
+
+def _embedding(cvec: np.ndarray, d_target: int) -> np.ndarray:
+    """``|c> (x) I_target`` as its ``(d_control, d_target, d_target)`` blocks ``c_k I``."""
+    return cvec[:, None, None] * np.eye(d_target, dtype=complex)
+
+
+@functools.lru_cache(maxsize=16)
+def _uniform_embedding(d_control: int, d_target: int) -> np.ndarray:
+    """The read-only ``(d_control * d_target, d_target)`` embedding of the default control.
+
+    Built once per dimension pair and shared as a view, like
+    :func:`concentrated_amplitudes`.
+    """
+    blocks = _embedding(np.full(d_control, d_control**-0.5, dtype=complex), d_target)
+    blocks.setflags(write=False)
+    return blocks.reshape(-1, d_target)

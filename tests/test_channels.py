@@ -33,6 +33,8 @@ KET0 = projector(np.array([1, 0], dtype=complex))
 KET1 = projector(np.array([0, 1], dtype=complex))
 PLUS = projector(np.array([1, 1], dtype=complex) / np.sqrt(2))
 
+PAULIS = [IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]
+
 CATALOG = [
     lambda p: bit_flip(p),
     lambda p: phase_flip(p),
@@ -226,6 +228,39 @@ def _conj_gram_defect(ch):
     return np.max(np.abs(rows.conj().T @ rows - np.eye(ch.d_in)))
 
 
+class TestCatalogArrays:
+    """Each catalog channel weighs a stacked set of Pauli operators in one array."""
+
+    @staticmethod
+    def _weighted(weights, operators):
+        return np.stack([np.sqrt(w) * sigma for w, sigma in zip(weights, operators)])
+
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 0.3, 1.0])
+    def test_leaves_are_the_weighted_operators_bit_for_bit(self, p):
+        q = p / 3
+        cases = [
+            (bit_flip(p), [1 - p, p], [IDENTITY_2, SIGMA_X]),
+            (phase_flip(p), [1 - p, p], [IDENTITY_2, SIGMA_Z]),
+            (depolarizing(p), [max(1 - (q + q + q), 0.0), q, q, q], PAULIS),
+        ]
+        for ch, weights, operators in cases:
+            assert ch.kraus.tobytes() == self._weighted(weights, operators).tobytes(), ch.label
+
+    def test_pauli_is_the_weighted_operators_bit_for_bit(self):
+        weights = [max(1 - (0.1 + 0.2 + 0.3), 0.0), 0.1, 0.2, 0.3]
+        expected = self._weighted(weights, PAULIS)
+        assert pauli(0.1, 0.2, 0.3).kraus.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("make", CATALOG)
+    def test_leaf_array_is_adopted(self, make, monkeypatch):
+        handed = []
+        init = Channel.__post_init__
+        monkeypatch.setattr(Channel, "__post_init__", lambda ch: handed.append(ch.kraus) or init(ch))
+        ch = make(0.3)
+        assert len(handed) == 1 and ch.kraus is handed[0]
+        assert ch.kraus.base is None and not ch.kraus.flags.writeable
+
+
 class TestChannelStorage:
     def test_kraus_are_read_only_views_of_one_array(self):
         source = [k.copy() for k in bit_flip(0.3).kraus]
@@ -361,6 +396,12 @@ class TestChannelStorage:
     def test_numpy_integer_dimensions_are_stored_as_ints(self):
         ch = Channel((np.eye(2),), (np.int64(2),), (np.uint8(2),))
         assert ch.input_dims == ch.output_dims == (2,)
+        assert all(type(d) is int for d in ch.input_dims + ch.output_dims)
+
+    def test_plain_and_other_integers_mix(self):
+        # Plain ints pass unchanged; any other integer, a bool included, is stored as int.
+        ch = Channel((np.eye(4),), (2, np.int64(2)), (4, True))
+        assert (ch.input_dims, ch.output_dims) == ((2, 2), (4, 1))
         assert all(type(d) is int for d in ch.input_dims + ch.output_dims)
 
     def test_rejects_wrong_shape(self):

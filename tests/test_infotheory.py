@@ -732,6 +732,15 @@ class TestOptimizerBehaviour:
         assert drawn == [77, 77]
         assert not infotheory._starts(77, 5).flags.writeable
 
+    def test_shared_starts_cannot_be_made_writable(self):
+        fixed = build_fixed(SupermapKind.COHERENT_SUP, Family.DEPOLARIZING, 0.12)
+        cfg = OptimizerConfig(restarts=5, seed=77)
+        first = quantum_capacity(fixed, cfg)
+        with pytest.raises(ValueError):
+            infotheory._starts(77, 5).setflags(write=True)
+        again = quantum_capacity(fixed, cfg)
+        assert (again.raw_value, again.evaluations) == (first.raw_value, first.evaluations)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_noiseless_capacity_is_one(self, kind):
         fixed = build_fixed(kind, Family.DEPOLARIZING, 0.0)

@@ -256,6 +256,115 @@ def test_check_sees_unread_exports(tmp_path):
     assert _unread_exports([module], [module, user]) == {"unread", "recursive", "imported"}
 
 
+#: Parameters a cache in ``src/`` may be keyed on: the structure of a
+#: configuration (its kind or tree), lengths, dimensions, and the seed and
+#: restart count that fix the optimizer's starts. A key on ``p``, amplitudes
+#: or channel contents would turn repeated estimates into lookups.
+CACHE_KEYS = {"kind", "tree", "n", "d_control", "d_target", "seed", "restarts"}
+
+#: Caches that decorate no function, each kept for the reason given.
+LOCAL_CACHES = {
+    ("cli.py", "cmd_validate"): "one build per (configuration, family, p), shared by the "
+    "capacity types of one validate run and dropped when it returns",
+}
+
+
+def _caches(path) -> list:
+    """``(function, parameters)`` of each ``functools`` cache in ``path``.
+
+    A cache is ``functools.cache`` or ``functools.lru_cache``, reached through
+    the module or imported by name. For a cache that decorates a function,
+    called or not, ``function`` is that function and ``parameters`` its
+    parameter names; for any other use ``parameters`` is ``None`` and
+    ``function`` the function around it (``"<module>"`` outside any).
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {"cache", "lru_cache"}
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "functools"
+    }
+    direct = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in names
+    }
+
+    def is_cache(node):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            return isinstance(node.value, ast.Name) and node.value.id in modules
+        return isinstance(node, ast.Name) and node.id in direct
+
+    found, decorating = [], set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in child.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if is_cache(target):
+                        a = child.args
+                        params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                        found.append((child.name, [p.arg for p in params if p is not None]))
+                        decorating.add(target)
+                visit(child, child.name)
+            else:
+                if is_cache(child) and child not in decorating:
+                    found.append((where, None))
+                visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_every_cache_is_keyed_on_structure():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 1
+    found = [(path.name, function, params) for path in sources for function, params in _caches(path)]
+    decorated = [(name, function, params) for name, function, params in found if params is not None]
+    assert len(decorated) >= 4
+    assert [case for case in decorated if not set(case[2]) <= CACHE_KEYS] == []
+    assert {(name, function) for name, function, params in found if params is None} == set(
+        LOCAL_CACHES
+    )
+
+
+def test_check_sees_caches(tmp_path):
+    # Seen: either name, through the module or imported (renamed too), called
+    # or bare, every kind of parameter, and a use that decorates nothing.
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import functools\n"
+        "from functools import cache, lru_cache as memo, partial\n"
+        "@functools.lru_cache(maxsize=4)\n"
+        "def plan(tree):\n    pass\n"
+        "@functools.cache\n"
+        "def leaf(kind, p):\n    pass\n"
+        "@memo\n"
+        "def vacuum(n, /, amps, *, d_target):\n    pass\n"
+        "@cache\n"
+        "def anything(*args, **kwargs):\n    pass\n"
+        "@partial(print)\n"
+        "def plain(p):\n    pass\n"
+        "def run(p):\n    return functools.cache(leaf)(p)\n"
+        "shared = cache(plain)\n",
+        encoding="utf-8",
+    )
+    assert _caches(source) == [
+        ("plan", ["tree"]),
+        ("leaf", ["kind", "p"]),
+        ("vacuum", ["n", "amps", "d_target"]),
+        ("anything", ["args", "kwargs"]),
+        ("run", None),
+        ("<module>", None),
+    ]
+
+
 def _imported_modules(*args) -> set:
     """Every module ``python -X importtime *args`` imports, read from its stderr."""
     paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]

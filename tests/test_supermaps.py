@@ -157,6 +157,23 @@ class TestVacuumAmplitudes:
         assert vac_components[0] == 1.0
         assert_allclose(vac_components[1:], 0)
 
+    def test_shared_vector_cannot_be_made_writable(self):
+        before = build_supermap(SupermapKind.COHERENT_SUP, Family.DEPOLARIZING, 0.3)
+        shared = concentrated_amplitudes(4)
+        with pytest.raises(ValueError):
+            shared.setflags(write=True)
+        assert concentrated_amplitudes(4).tobytes() == np.array([1, 0, 0, 0], complex).tobytes()
+        after = build_supermap(SupermapKind.COHERENT_SUP, Family.DEPOLARIZING, 0.3)
+        assert after.kraus.tobytes() == before.kraus.tobytes()
+
+    def test_only_integer_lengths_share_a_vector(self):
+        # The cache keeps the length's type in its key: a float length is
+        # rejected as numpy rejects it, even once the int length is cached.
+        concentrated_amplitudes(2)
+        with pytest.raises(TypeError):
+            concentrated_amplitudes(2.0)
+        assert concentrated_amplitudes(np.int64(2)).tobytes() == concentrated_amplitudes(2).tobytes()
+
     def test_uniform_depolarizing_amplitudes_complete(self):
         ext = _extended_channel(depolarizing(0.7), (0.5, 0.5, 0.5, 0.5))
         assert completeness_defect(ext) <= 1e-10
@@ -325,6 +342,27 @@ class TestBuildWork:
         build_supermap(kind, family, 0.3)
         assert len(calls) == count
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_a_build_walks_its_tree_once(self, kind, monkeypatch):
+        # Every walk of the tree unpacks its root once. The leaf count, the
+        # vector count and the amplitude routing come from a plan folded once
+        # per tree, so a build whose plan is cached walks the tree only for
+        # its rules.
+        walks = []
+
+        class CountedRoot(tuple):
+            def __iter__(self):
+                walks.append(1)
+                return super().__iter__()
+
+        monkeypatch.setitem(supermaps._TREES, kind, CountedRoot(supermaps._TREES[kind]))
+        counts = []
+        for _ in range(2):
+            walks.clear()
+            build_supermap(kind, Family.DEPOLARIZING, 0.3)
+            counts.append(len(walks))
+        assert counts[0] <= 2 and counts[1] == 1
+
     def test_public_rules_check_one_channel_each(self, monkeypatch):
         bf, pf = bit_flip(0.2), phase_flip(0.4)
         calls = []
@@ -446,6 +484,17 @@ class TestComposeCounts:
             return str(info.value)
 
         return run
+
+    def test_counts_follow_the_tree_in_trees(self, monkeypatch):
+        # The counts are cached per tree, not per kind: another tree put in
+        # ``_TREES`` is counted afresh.
+        kind = SupermapKind.SWITCH
+        channels = family_channels(Family.BIT_FLIP, 0.3, 4)
+        assert kind.n_channels == 2
+        monkeypatch.setitem(supermaps._TREES, kind, ("coh", ("switch", 0, 1), ("switch", 2, 3)))
+        assert kind.n_channels == 4
+        ch = compose(kind, channels, [None])
+        assert ch.n_kraus == 16 and ch.input_dims == (2, 2, 2)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_wrong_channel_count_rejected(self, kind, rejected):
@@ -639,6 +688,40 @@ class TestFixControl:
         sequential = [apply(z, apply(y, apply(x, rho))) for x, y, z in orders]
         marginal = partial_trace(apply(fixed, rho), (3, 2), keep=[1])
         assert_allclose(marginal, sum(sequential) / 3, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        ("kind", "family", "compressed"),
+        [
+            (SupermapKind.SWITCH, Family.BIT_FLIP, False),
+            (SupermapKind.SWITCH_OF_COH, Family.MIXED_ALTERNATING, False),
+            (SupermapKind.COHERENT_SUP, Family.DEPOLARIZING, True),
+            (SupermapKind.COH_OF_COH, Family.DEPOLARIZING, True),
+        ],
+    )
+    def test_default_control_is_the_uniform_ket_bit_for_bit(self, kind, family, compressed):
+        root = build_supermap(kind, family, 0.3)
+        d_control = root.d_in // 2
+        default = fix_control(root)
+        explicit = fix_control(root, np.full(d_control, d_control**-0.5))
+        assert (root.n_kraus > default.n_kraus) == compressed
+        assert default.kraus.tobytes() == explicit.kraus.tobytes()
+        for fixed in (default, explicit):
+            assert fixed.kraus.base is None and not fixed.kraus.flags.writeable
+
+    def test_fixed_operators_are_adopted(self, monkeypatch):
+        root = build_supermap(SupermapKind.SWITCH, Family.BIT_FLIP, 0.3)
+        handed = []
+        init = Channel.__post_init__
+        monkeypatch.setattr(Channel, "__post_init__", lambda ch: handed.append(ch.kraus) or init(ch))
+        fixed = fix_control(root)
+        assert len(handed) == 1 and fixed.kraus is handed[0]
+
+    def test_shared_embedding_cannot_be_made_writable(self):
+        root = build_supermap(SupermapKind.SWITCH_OF_SWITCH, Family.BIT_FLIP, 0.3)
+        before = fix_control(root)
+        with pytest.raises(ValueError):
+            supermaps._uniform_embedding(4, 2).setflags(write=True)
+        assert fix_control(root).kraus.tobytes() == before.kraus.tobytes()
 
     def test_mixed_control_rejected(self):
         ch = switch(bit_flip(0.2), bit_flip(0.2))
