@@ -17,7 +17,6 @@ from .channels import (
     pauli,
     phase_flip,
 )
-from .configs import Family, build_fixed, build_supermap, family_channels
 from .infotheory import (
     CapacityResult,
     Ensemble,
@@ -38,9 +37,13 @@ from .oracle import (
 )
 from .qmatrix import eig_hermitian, partial_trace, von_neumann_entropy
 from .supermaps import (
+    Family,
     SupermapKind,
+    build_fixed,
+    build_supermap,
     coherent_superposition,
     concentrated_amplitudes,
+    family_channels,
     fix_control,
     switch,
 )

@@ -11,7 +11,7 @@ Channels are immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +72,14 @@ class Channel:
 
     def __post_init__(self):
         input_dims, output_dims = tuple(self.input_dims), tuple(self.output_dims)
-        dims = input_dims + output_dims
-        # Plain ints, the common case, skip the slower ``numbers.Integral`` check.
-        if not all(type(d) is int and d >= 1 for d in dims):
-            if not all(isinstance(d, numbers.Integral) and d >= 1 for d in dims):
-                raise ValueError("subsystem dimensions must be positive integers")
-            input_dims, output_dims = tuple(map(int, input_dims)), tuple(map(int, output_dims))
+        try:
+            input_dims = tuple(map(operator.index, input_dims))
+            output_dims = tuple(map(operator.index, output_dims))
+            positive = all(d >= 1 for d in input_dims + output_dims)
+        except TypeError:
+            positive = False
+        if not positive:
+            raise ValueError("subsystem dimensions must be positive integers")
         object.__setattr__(self, "input_dims", input_dims)
         object.__setattr__(self, "output_dims", output_dims)
         shape = (math.prod(output_dims), math.prod(input_dims))

@@ -30,10 +30,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .configs import Family, build_fixed
 from .infotheory import OptimizerConfig, classical_capacity, quantum_capacity
 from .oracle import CapacityType, closed_form, list_available
-from .supermaps import SupermapKind
+from .supermaps import Family, SupermapKind, build_fixed
 
 __all__ = ["main", "main_entry"]
 

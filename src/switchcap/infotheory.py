@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
@@ -132,7 +132,7 @@ class OptimizerConfig:
     ``restarts - 1`` seeded ones), which advance in lockstep. ``tolerance``
     is the absolute agreement, in bits, required between the two best
     restarts for the run to be flagged converged. ``restarts`` and ``seed``
-    must be integers.
+    must be integers (whatever ``operator.index`` accepts), stored as ``int``.
     """
 
     restarts: int = 6
@@ -141,8 +141,11 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("restarts", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if not 0 < self.tolerance < math.inf:

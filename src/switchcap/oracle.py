@@ -31,8 +31,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Tuple
 
 from .channels import bit_flip, depolarizing, phase_flip
-from .configs import Family, leaf_models
-from .supermaps import SupermapKind, fold
+from .supermaps import Family, SupermapKind, fold, leaf_models
 
 __all__ = [
     "CapacityType",

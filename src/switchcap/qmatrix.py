@@ -10,7 +10,7 @@ Entropies are reported in bits (log base 2) throughout.
 
 from __future__ import annotations
 
-import numbers
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,18 +75,23 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> 
     """
     rho = as_complex_matrix(rho)
     given = tuple(dims)
-    if not all(isinstance(d, numbers.Integral) and d >= 1 for d in given):
+    try:
+        dims = tuple(map(operator.index, given))
+        positive = all(d >= 1 for d in dims)
+    except TypeError:
+        positive = False
+    if not positive:
         raise ValueError(f"subsystem dimensions must be positive integers, got {given}")
-    dims = tuple(map(int, given))
     total = int(np.prod(dims))
     if rho.shape != (total, total):
         raise ValueError(
             f"matrix of shape {rho.shape} does not factor as subsystems {dims}"
         )
     keep = tuple(keep)
-    if not all(isinstance(k, numbers.Integral) for k in keep):
-        raise ValueError(f"keep indices must be integers, got {keep}")
-    keep = sorted(set(map(int, keep)))
+    try:
+        keep = sorted(set(map(operator.index, keep)))
+    except TypeError:
+        raise ValueError(f"keep indices must be integers, got {keep}") from None
     if not keep:
         raise ValueError("keep must name at least one subsystem")
     if keep[0] < 0 or keep[-1] >= len(dims):

@@ -1,5 +1,8 @@
-"""Higher-order compositions of channels: the switch and path superposition.
+"""Configurations of channels: the switch, path superposition and their trees.
 
+This one module knows a configuration: its kind, its composition tree, the
+plan folded from that tree, the :class:`Family` of its leaves, and its
+build (:func:`build_supermap`, and :func:`build_fixed` with the control fixed).
 Two composition rules are provided. Two channels can be placed in an
 indefinite causal order controlled by a qubit (``switch``) or routed
 along superposed paths (``coherent_superposition``, with one vacuum
@@ -12,7 +15,7 @@ and :func:`switchcap.oracle.effective_flip_probability` into Bloch
 z-multipliers. What a build needs besides the rules (the leaf count and
 which superposition has another below it) is folded once per tree and
 cached, so :func:`compose` checks its counts of channels and vectors, and
-``build_supermap`` routes its vector, without walking the tree again.
+:func:`build_supermap` routes its vector, without walking the tree again.
 Nothing keyed on ``p``, amplitudes or channel contents is cached.
 
 Each rule is one private function on the stacked Kraus operators of its
@@ -43,12 +46,13 @@ every operator.
 from __future__ import annotations
 
 import functools
+import operator
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .channels import Channel
+from .channels import Channel, bit_flip, depolarizing, phase_flip
 from .qmatrix import unit_vector
 
 __all__ = [
@@ -59,6 +63,11 @@ __all__ = [
     "coherent_superposition",
     "concentrated_amplitudes",
     "fix_control",
+    "Family",
+    "leaf_models",
+    "family_channels",
+    "build_supermap",
+    "build_fixed",
 ]
 
 
@@ -78,12 +87,7 @@ class SupermapKind(Enum):
 
     @property
     def n_channels(self) -> int:
-        return self._plan.leaves
-
-    @property
-    def _plan(self) -> _Plan:
-        """The :class:`_Plan` of the tree ``_TREES`` holds for this kind."""
-        return _tree_plan(_TREES[self])
+        return _tree_plan(_TREES[self]).leaves
 
 
 #: Composition tree of each configuration: nested ``(rule, first, second)``
@@ -222,8 +226,12 @@ def concentrated_amplitudes(n: int) -> np.ndarray:
     """Default vacuum amplitudes ``(1, 0, ..., 0)`` of length ``n``.
 
     One vector is built per ``n`` and every call shares it, as a read-only
-    view: a view of a read-only array cannot be made writable again.
+    view: a view of a read-only array cannot be made writable again. A
+    length that is not an integer raises ``TypeError``, and one below 1
+    ``ValueError``.
     """
+    if operator.index(n) < 1:
+        raise ValueError(f"vacuum amplitudes need at least one entry, got {n}")
     arr = np.zeros(n, dtype=complex)
     arr[0] = 1.0
     arr.setflags(write=False)
@@ -264,7 +272,7 @@ def compose(kind: SupermapKind, channels: Sequence[Channel], node_amps: Sequence
     ``{L_j}``, ``sum (L K)^dag (L K) = sum K^dag (sum L^dag L) K = I`` in
     either order, and unit amplitude vectors keep each superposition complete.
     """
-    plan = kind._plan
+    plan = _tree_plan(_TREES[kind])
     leaves, nodes = plan.leaves, len(plan.nested)
     if (len(channels), len(node_amps)) != (leaves, nodes):
         raise ValueError(
@@ -376,3 +384,90 @@ def _uniform_embedding(d_control: int, d_target: int) -> np.ndarray:
     blocks = _embedding(np.full(d_control, d_control**-0.5, dtype=complex), d_target)
     blocks.setflags(write=False)
     return blocks.reshape(-1, d_target)
+
+
+class Family(Enum):
+    """Which noise model each constituent channel uses (see ``_LEAF_MODELS``).
+
+    ``MIXED_ALTERNATING`` interleaves bit- and phase-flip channels (bit,
+    phase, bit, phase); ``MIXED_BLOCK`` groups them (bit, bit, phase, phase),
+    so it is defined for four-channel (nested) configurations only.
+    """
+
+    BIT_FLIP = "bitflip"
+    PHASE_FLIP = "phaseflip"
+    MIXED_ALTERNATING = "mixed_alt"
+    MIXED_BLOCK = "mixed_block"
+    DEPOLARIZING = "depolarizing"
+
+    @property
+    def token(self) -> str:
+        return self.value
+
+
+#: The noise models of each family's constituent channels, repeated in
+#: order over a configuration's leaves (whose count they must divide).
+_LEAF_MODELS = {
+    Family.BIT_FLIP: (bit_flip,),
+    Family.PHASE_FLIP: (phase_flip,),
+    Family.MIXED_ALTERNATING: (bit_flip, phase_flip),
+    Family.MIXED_BLOCK: (bit_flip, bit_flip, phase_flip, phase_flip),
+    Family.DEPOLARIZING: (depolarizing,),
+}
+
+
+def leaf_models(family: Family, count: int) -> tuple:
+    """The noise model of each of ``count`` constituent channels of ``family``.
+
+    ``count`` must be a positive integer (one ``operator.index`` accepts)
+    that the number of models of ``family`` divides; else ``ValueError``.
+    """
+    models = _LEAF_MODELS[family]
+    try:
+        repeats, rest = divmod(operator.index(count), len(models))
+    except TypeError:
+        repeats = rest = 0
+    if repeats < 1 or rest:
+        raise ValueError(
+            f"{family.token} needs a multiple of {len(models)} channels, got {count}"
+        )
+    return models * repeats
+
+
+def family_channels(family: Family, p: float, count: int) -> tuple:
+    """The ``count`` constituent channels of ``family`` at noise ``p``.
+
+    Each distinct noise model is built once; channels are immutable, so
+    the leaves that repeat it share one instance.
+    """
+    models = leaf_models(family, count)
+    built = {model: model(p) for model in dict.fromkeys(models)}
+    return tuple(built[model] for model in models)
+
+
+def build_supermap(
+    kind: SupermapKind, family: Family, p: float, amps: Optional[Sequence[complex]] = None
+) -> Channel:
+    """Compose the configuration ``kind`` over channels of ``family`` at ``p``.
+
+    :func:`compose` folds the tree of ``kind`` into one checked ``Channel``.
+    Each superposition gives both of its children one vacuum-amplitude
+    vector: ``amps`` if no other superposition lies below it (so for
+    ``COH_OF_SWITCH`` it is the outer vector over the inner switch Kraus
+    indices), else the concentrated default ``(1, 0, ..., 0)`` that
+    ``amps=None`` selects everywhere. ``amps`` is rejected for a ``kind``
+    without a superposition. Any other choice of vectors, one per node, goes
+    through :func:`compose`.
+    """
+    plan = _tree_plan(_TREES[kind])
+    chans = family_channels(family, p, plan.leaves)
+    if amps is not None and not plan.nested:
+        raise ValueError(f"{kind.token} does not take vacuum amplitudes")
+    return compose(kind, chans, [None if below else amps for below in plan.nested])
+
+
+def build_fixed(
+    kind: SupermapKind, family: Family, p: float, amps: Optional[Sequence[complex]] = None
+) -> Channel:
+    """Composed configuration with its control fixed at ``|+...+>``."""
+    return fix_control(build_supermap(kind, family, p, amps))

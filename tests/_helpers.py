@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from switchcap.channels import Channel
-from switchcap.configs import Family, family_channels
+from switchcap.supermaps import Family, family_channels
 from switchcap.qmatrix import partial_trace
 from switchcap.supermaps import coherent_superposition, fold, switch
 

@@ -19,7 +19,7 @@ from switchcap.channels import (
     phase_flip,
 )
 from switchcap.cli import main as cli_main
-from switchcap.configs import Family, build_fixed, build_supermap, family_channels
+from switchcap.supermaps import Family, build_fixed, build_supermap, family_channels
 from switchcap.infotheory import OptimizerConfig, classical_capacity, quantum_capacity
 from switchcap.oracle import CapacityType, ClosedFormId, closed_form, list_available
 from switchcap.qmatrix import partial_trace, von_neumann_entropy

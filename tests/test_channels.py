@@ -19,7 +19,7 @@ from switchcap.channels import (
     pauli,
     phase_flip,
 )
-from switchcap.configs import Family, build_supermap
+from switchcap.supermaps import Family, build_supermap
 from switchcap.qmatrix import (
     IDENTITY_2,
     SIGMA_X,

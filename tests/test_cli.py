@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import switchcap
 from switchcap import cli
 from switchcap.cli import CAPACITY_NOISE_BITS, main
-from switchcap.configs import Family, build_fixed
+from switchcap.supermaps import Family, build_fixed
 from switchcap.infotheory import OptimizerConfig, classical_capacity, quantum_capacity
 from switchcap.oracle import CapacityType
 from switchcap.supermaps import SupermapKind

@@ -27,7 +27,7 @@ from switchcap.channels import (
     identity_channel,
     phase_flip,
 )
-from switchcap.configs import Family, build_fixed, build_supermap
+from switchcap.supermaps import Family, build_fixed, build_supermap
 from switchcap.infotheory import (
     CapacityResult,
     Ensemble,

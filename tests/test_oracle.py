@@ -3,7 +3,7 @@ import pytest
 
 from _helpers import drawn_node_amps, eligible_families
 from switchcap import supermaps
-from switchcap.configs import Family, build_fixed, family_channels
+from switchcap.supermaps import Family, build_fixed, family_channels
 from switchcap.infotheory import target_marginal
 from switchcap.oracle import (
     CapacityType,

@@ -59,6 +59,67 @@ def test_check_sees_private_imports(tmp_path):
     assert names == ["_input_state", "_LEAF_MODELS", "_private_module", "_private_module"]
 
 
+def _foreign_private_attributes(path: Path) -> list:
+    """``(line, name)`` of each non-dunder ``x._name`` ``path`` loads but does not define.
+
+    A definition is a function, method or class of that name, or a name or
+    attribute stored under it, anywhere in the file. Such a read reaches
+    into another module past :func:`_sibling_private_imports`.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and node.attr not in defined
+    )
+
+
+def test_no_module_reads_a_private_attribute_of_another():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 1
+    offenders = {
+        path.name: found for path in sources if (found := _foreign_private_attributes(path))
+    }
+    assert offenders == {}
+
+
+def test_check_sees_foreign_private_attributes(tmp_path):
+    # Seen: a read of a private attribute the file does not define, called,
+    # chained or stored through. Not seen: a method, a class, a module-level
+    # name or an attribute the file stores, a dunder, and a store alone.
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import numpy as np\n"
+        "_TABLE = {}\n"
+        "class Kind:\n"
+        "    class _Inner:\n        pass\n"
+        "    def _own(self):\n        return self._own, self._cache, self._Inner\n"
+        "    def setup(self):\n        self._cache = {}\n"
+        "def build(kind, probe):\n"
+        "    kind._plan()\n"
+        "    probe._TABLE, kind.__class__, kind.__mangled\n"
+        "    kind._routes.flag = True\n"
+        "    kind.stored = np.linalg._umath_linalg\n"
+        "    kind._written = 1\n",
+        encoding="utf-8",
+    )
+    assert _foreign_private_attributes(source) == [
+        (11, "_plan"), (12, "__mangled"), (13, "_routes"), (14, "_umath_linalg")
+    ]
+
+
 def _loads(node) -> list:
     """Every name ``node`` loads, as an ``ast.Name`` id or an ``ast.Attribute`` attr."""
     return [

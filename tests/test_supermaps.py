@@ -31,7 +31,7 @@ from switchcap.channels import (
     identity_channel,
     phase_flip,
 )
-from switchcap.configs import Family, build_fixed, build_supermap, family_channels
+from switchcap.supermaps import Family, build_fixed, build_supermap, family_channels
 from switchcap.infotheory import coherent_information, exchange_entropy
 from switchcap.qmatrix import partial_trace
 from switchcap.supermaps import (
@@ -41,6 +41,7 @@ from switchcap.supermaps import (
     concentrated_amplitudes,
     fix_control,
     fold,
+    leaf_models,
     switch,
 )
 
@@ -535,6 +536,27 @@ class TestComposeCounts:
         # StopIteration) or build a channel from part of their input.
         channels = family_channels(Family.BIT_FLIP, 0.3, count)
         assert rejected(kind, channels, node_amps) == message
+
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (lambda: leaf_models(Family.BIT_FLIP, 2.0),
+             "bitflip needs a multiple of 1 channels, got 2.0"),
+            (lambda: leaf_models(Family.BIT_FLIP, "4"),
+             "bitflip needs a multiple of 1 channels, got 4"),
+            (lambda: family_channels(Family.MIXED_ALTERNATING, 0.3, 4.0),
+             "mixed_alt needs a multiple of 2 channels, got 4.0"),
+            (lambda: concentrated_amplitudes(0),
+             "vacuum amplitudes need at least one entry, got 0"),
+        ],
+        ids=["float_count", "string_count", "float_family_count", "empty_vector"],
+    )
+    def test_bad_counts_raise_value_error(self, call, message):
+        # A float or string count once failed with a TypeError from ``*`` or
+        # ``<``, and a zero-length default vector with an IndexError.
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestComposeEquivalence:
