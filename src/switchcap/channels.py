@@ -199,10 +199,14 @@ def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
     """Apply the channel: ``sum_i K_i rho K_i^dag``.
 
     ``rho`` must be a ``d_in x d_in`` matrix; the result is ``d_out x d_out``.
+    The sum is one matrix product: the operators ``K_i rho`` side by side,
+    ``(d_out, n d_in)``, times the conjugated operators laid out the same way
+    and transposed.
     """
     rho = _input_state(ch, rho)
-    ks = ch.kraus
-    return np.einsum("aij,jk,alk->il", ks, rho, ks.conj())
+    ks, d_out = ch.kraus, ch.d_out
+    products = (ks @ rho).transpose(1, 0, 2).reshape(d_out, -1)
+    return products @ ks.conj().transpose(1, 0, 2).reshape(d_out, -1).T
 
 
 def complementary_output(ch: Channel, rho: np.ndarray) -> np.ndarray:

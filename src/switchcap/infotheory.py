@@ -29,7 +29,11 @@ deterministic for a fixed seed. Output and environment states are affine in
 the Bloch vector, so their eigendecompositions give the value and its exact
 gradient; a point on or outside the sphere is a pure input, scored 0 with
 zero gradient and no eigendecomposition. The restarts advance in lockstep, each
-round with one eigendecomposition per map of its points inside the ball.
+round with one eigendecomposition per map of its points inside the ball. Each
+run keeps its point, gradient and inverse Hessian in Python floats, and a
+round assembles its states and gradient traces by products batched over its
+points, one call per point, so a round costs little beyond its eigendecompositions
+and no point's value depends on how many share its round.
 """
 
 from __future__ import annotations
@@ -331,19 +335,23 @@ def classical_capacity(ch: Channel) -> CapacityResult:
 def _entropy_and_gradient(maps: np.ndarray, r: np.ndarray) -> tuple:
     """Entropy in bits of ``maps[0] + r . maps[1:]`` and its gradient, per row ``r``.
 
-    The states are assembled elementwise and eigendecomposed as one stack;
-    no step mixes rows. The slopes ``maps[1:]`` are traceless and Hermitian,
-    so ``dS/dr_i = -Tr(maps[i+1] log2 rho)`` is the real part of the sum of
-    ``conj(maps[i+1]) * log2 rho``, with ``log2 rho`` rebuilt by one batched
-    product. Eigenvalues at or below ``_SPECTRUM_FLOOR`` take log 1 and add nothing.
+    The states are assembled by one product of each row with the flattened
+    slopes, batched over the rows, and eigendecomposed as one stack. The
+    slopes ``maps[1:]`` are traceless and Hermitian, so ``dS/dr_i = -Tr(maps[i+1]
+    log2 rho)`` is the real part of the sum of ``conj(maps[i+1]) * log2 rho``:
+    the product of the real views of ``log2 rho``, rebuilt by one batched
+    product, and of the slopes, again batched over the rows. Every product is
+    one call per row, so no row's arithmetic depends on how many are
+    stacked. Eigenvalues at or below ``_SPECTRUM_FLOOR`` take log 1 and add nothing.
     """
-    x, y, z = r.T[:, :, None, None]
-    states = maps[0] + x * maps[1] + y * maps[2] + z * maps[3]
-    eigvals, eigvecs = np.linalg.eigh(states)
+    k, flat = len(r), maps.reshape(4, -1)
+    slopes = flat[1:].view(np.float64)
+    states = flat[0] + np.matmul(r[:, None], slopes).view(np.complex128)
+    eigvals, eigvecs = np.linalg.eigh(states.reshape(k, *maps.shape[1:]))
     logs = np.log2(np.where(eigvals > _SPECTRUM_FLOOR, eigvals, 1.0))
     log_rho = (eigvecs * logs[:, None]) @ eigvecs.conj().transpose(0, 2, 1)
-    traces = np.einsum("nij,mij->mn", maps[1:].conj(), log_rho).real
-    return -(eigvals * logs).sum(axis=1), -traces
+    traces = np.matmul(log_rho.view(np.float64).reshape(k, 1, -1), slopes.T)
+    return -(eigvals * logs).sum(axis=1), -traces[:, 0]
 
 
 def _objective(ch: Channel):
@@ -353,75 +361,104 @@ def _objective(ch: Channel):
     environment state ``env[0] + x . env[1:]``, from the images of
     ``sigma_mu / 2`` built once here. A row with ``|x| >= 1`` is a pure input,
     whose output and environment entropies are equal: it scores 0 with zero
-    gradient and no eigendecomposition.
+    gradient and no eigendecomposition. A round with every row inside the
+    ball returns the two stacked passes as they are.
     """
     ks, n = ch.kraus, ch.n_kraus
     images = ks @ _PAULI_HALVES[:, None]
     out = (images @ ks.conj().transpose(0, 2, 1)).sum(axis=1)
     env = images.reshape(4, n, -1) @ ks.conj().reshape(n, -1).T
 
+    def stacked(xs: np.ndarray) -> tuple:
+        s_out, g_out = _entropy_and_gradient(out, xs)
+        s_env, g_env = _entropy_and_gradient(env, xs)
+        return s_env - s_out, g_env - g_out
+
     def negative_coherent_information(xs: np.ndarray) -> tuple:
-        values, grads = np.zeros(len(xs)), np.zeros(xs.shape)
         inside = (xs * xs).sum(axis=1) < 1.0
+        if inside.all():
+            return stacked(xs)
+        values, grads = np.zeros(len(xs)), np.zeros(xs.shape)
         if inside.any():
-            s_out, g_out = _entropy_and_gradient(out, xs[inside])
-            s_env, g_env = _entropy_and_gradient(env, xs[inside])
-            values[inside], grads[inside] = s_env - s_out, g_env - g_out
+            values[inside], grads[inside] = stacked(xs[inside])
         return values, grads
 
     return negative_coherent_information
 
 
-def _bfgs(x: np.ndarray, gtol: float, maxiter: int):
+def _bfgs(x, gtol: float, maxiter: int):
     """Minimize from ``x`` by BFGS: yield each point, be sent its value and gradient.
 
-    The first point is ``x``, and the generator returns a ``_Run``. Each line
-    search starts at the unit step along ``-h @ g`` and halves it until the
-    Armijo condition holds; a step below ``1e-6`` fails the run. The inverse
-    Hessian ``h`` takes the BFGS update whenever the curvature ``y . s`` is
-    positive. Succeeds when the max-abs gradient reaches ``gtol`` within
-    ``maxiter`` iterations, or once the decrease ``-g . p`` a step predicts is
-    at most ``_DECREASE_FLOOR * max(1, |f|)``, 1e-14 relative, where the Armijo
-    test could fail on the rounding of ``f`` alone.
+    ``x`` is a three-dimensional Bloch vector, kept in floats: the point and
+    the gradient as three Python floats each, the symmetric inverse Hessian
+    ``h`` as its six distinct entries. Each point, the first being ``x``, is
+    yielded as a tuple of three floats and answered with ``(value, gradient)``,
+    the gradient any sequence of three floats; the generator returns a
+    ``_Run`` whose ``x`` is an ndarray. Each line search starts at the unit
+    step along ``-h g`` and halves it until the Armijo condition holds; a step
+    below ``1e-6`` fails the run. With ``s`` the step, ``y`` the change of
+    gradient and ``q = h y``, ``h`` takes the update ``h - (q s^T + s q^T) / sy
+    + (1 + y . q / sy) s s^T / sy`` (Nocedal & Wright, eq. 6.17), the BFGS
+    update expanded, whenever the curvature ``sy = s . y`` is positive.
+    Succeeds when the max-abs gradient reaches ``gtol`` within ``maxiter``
+    iterations, or once the decrease ``-g . p`` a step predicts is at most
+    ``_DECREASE_FLOOR * max(1, |f|)``, 1e-14 relative, where the Armijo test
+    could fail on the rounding of ``f`` alone.
     """
-    f, g = yield x
-    nfev, nit, h = 1, 0, np.eye(len(x))
-    while np.abs(g).max() > gtol and nit < maxiter:
-        p = -h @ g
-        slope = float(g @ p)
+    x0, x1, x2 = map(float, x)
+    f, (g0, g1, g2) = yield x0, x1, x2
+    nfev, nit = 1, 0
+    h00, h01, h02, h11, h12, h22 = 1.0, 0.0, 0.0, 1.0, 0.0, 1.0
+    while max(abs(g0), abs(g1), abs(g2)) > gtol and nit < maxiter:
+        p0 = -(h00 * g0 + h01 * g1 + h02 * g2)
+        p1 = -(h01 * g0 + h11 * g1 + h12 * g2)
+        p2 = -(h02 * g0 + h12 * g1 + h22 * g2)
+        slope = g0 * p0 + g1 * p1 + g2 * p2
         if -slope <= _DECREASE_FLOOR * max(1.0, abs(f)):
             break
         step = 1.0
         while step >= 1e-6:
-            f_new, g_new = yield x + step * p
+            f_new, grad = yield x0 + step * p0, x1 + step * p1, x2 + step * p2
             nfev += 1
             if f_new <= f + 1e-4 * step * slope:
                 break
             step /= 2
         else:
-            return _Run(x, f, nfev, nit, False)
-        s, y = step * p, g_new - g
-        x, f, g, nit = x + s, f_new, g_new, nit + 1
-        if (sy := s @ y) > 0:
-            a = np.eye(len(x)) - np.outer(s, y) / sy
-            h = a @ h @ a.T + np.outer(s, s) / sy
-    return _Run(x, f, nfev, nit, nit < maxiter)
+            return _Run(np.array([x0, x1, x2]), f, nfev, nit, False)
+        s0, s1, s2 = step * p0, step * p1, step * p2
+        y0, y1, y2 = grad[0] - g0, grad[1] - g1, grad[2] - g2
+        x0, x1, x2, f, nit = x0 + s0, x1 + s1, x2 + s2, f_new, nit + 1
+        g0, g1, g2 = grad
+        if (sy := s0 * y0 + s1 * y1 + s2 * y2) > 0:
+            q0 = (h00 * y0 + h01 * y1 + h02 * y2) / sy
+            q1 = (h01 * y0 + h11 * y1 + h12 * y2) / sy
+            q2 = (h02 * y0 + h12 * y1 + h22 * y2) / sy
+            c = (1.0 + y0 * q0 + y1 * q1 + y2 * q2) / sy
+            h00 += c * s0 * s0 - 2.0 * q0 * s0
+            h01 += c * s0 * s1 - (q0 * s1 + s0 * q1)
+            h02 += c * s0 * s2 - (q0 * s2 + s0 * q2)
+            h11 += c * s1 * s1 - 2.0 * q1 * s1
+            h12 += c * s1 * s2 - (q1 * s2 + s1 * q2)
+            h22 += c * s2 * s2 - 2.0 * q2 * s2
+    return _Run(np.array([x0, x1, x2]), f, nfev, nit, nit < maxiter)
 
 
 def _lockstep(fun, runs) -> list:
     """The ``_Run``s of the :func:`_bfgs` generators ``runs``, advanced in rounds.
 
     Each round stacks the pending points of the live runs, at most ``_BLOCK`` at
-    a time, into one call of ``fun`` (``k`` rows to ``k`` values and gradients).
+    a time, into one call of ``fun`` (``k`` rows to ``k`` values and ``(k, 3)``
+    gradients, as ndarrays), and sends each run its value and gradient as
+    Python floats.
     """
     results = [None] * len(runs)
     for first in range(0, len(runs), _BLOCK):
         pending = {i: next(runs[i]) for i in range(len(runs))[first : first + _BLOCK]}
         while pending:
             values, grads = fun(np.array(list(pending.values())))
-            for i, value, grad in zip(list(pending), values, grads):
+            for i, value, grad in zip(list(pending), values.tolist(), grads.tolist()):
                 try:
-                    pending[i] = runs[i].send((float(value), grad))
+                    pending[i] = runs[i].send((value, grad))
                 except StopIteration as stop:
                     results[i] = stop.value
                     del pending[i]

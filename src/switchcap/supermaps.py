@@ -420,13 +420,14 @@ def leaf_models(family: Family, count: int) -> tuple:
     """The noise model of each of ``count`` constituent channels of ``family``.
 
     ``count`` must be a positive integer (one ``operator.index`` accepts)
-    that the number of models of ``family`` divides; else ``ValueError``.
+    that the number of models of ``family`` divides; else ``ValueError``,
+    which shows a count that is no integer by its ``repr``.
     """
     models = _LEAF_MODELS[family]
     try:
         repeats, rest = divmod(operator.index(count), len(models))
     except TypeError:
-        repeats = rest = 0
+        repeats, rest, count = 0, 0, repr(count)
     if repeats < 1 or rest:
         raise ValueError(
             f"{family.token} needs a multiple of {len(models)} channels, got {count}"

@@ -5,6 +5,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from switchcap import infotheory
 from switchcap.channels import Channel
 from switchcap.supermaps import Family, family_channels
 from switchcap.qmatrix import partial_trace
@@ -122,6 +123,40 @@ def uncompressed_fixed(ch):
     d_control = ch.d_in // d_target
     embed = np.kron(np.full((d_control, 1), d_control**-0.5), np.eye(d_target))
     return Channel(tuple(m @ embed for m in ch.kraus), (d_target,), ch.output_dims)
+
+
+def reference_bfgs(x, gtol, maxiter):
+    """The BFGS of ``infotheory._bfgs`` on numpy vectors and a 3 x 3 inverse Hessian.
+
+    A reference for the scalar form: the same protocol (yield each point, be
+    sent its value and gradient, return an ``infotheory._Run``), the same unit
+    first step, Armijo backtracking, update rule and stops, with the update
+    taken as ``a h a^T + s s^T / sy``, ``a = I - s y^T / sy``.
+    """
+    f, g = yield x
+    g = np.asarray(g)
+    nfev, nit, h = 1, 0, np.eye(len(x))
+    while np.abs(g).max() > gtol and nit < maxiter:
+        p = -h @ g
+        slope = float(g @ p)
+        if -slope <= infotheory._DECREASE_FLOOR * max(1.0, abs(f)):
+            break
+        step = 1.0
+        while step >= 1e-6:
+            f_new, g_new = yield x + step * p
+            g_new = np.asarray(g_new)
+            nfev += 1
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step /= 2
+        else:
+            return infotheory._Run(x, f, nfev, nit, False)
+        s, y = step * p, g_new - g
+        x, f, g, nit = x + s, f_new, g_new, nit + 1
+        if (sy := s @ y) > 0:
+            a = np.eye(len(x)) - np.outer(s, y) / sy
+            h = a @ h @ a.T + np.outer(s, s) / sy
+    return infotheory._Run(x, f, nfev, nit, nit < maxiter)
 
 
 @st.composite

@@ -14,6 +14,7 @@ from _helpers import (
     random_channel,
     random_density,
     random_unit_vector,
+    reference_bfgs,
     stinespring_marginals,
     uncompressed_fixed,
 )
@@ -902,14 +903,28 @@ class TestSolvers:
         assert res.x < 1e-15
 
     @staticmethod
-    def _bfgs(fun, x, gtol, maxiter):
-        # One run advanced through ``_lockstep``, with ``fun`` applied row by row.
+    def _rowwise(fun):
+        # The stacked form ``_lockstep`` calls, with ``fun`` applied row by row.
         def rows(xs):
             values, grads = zip(*map(fun, xs))
             return np.array(values), np.array(grads)
 
-        (res,) = infotheory._lockstep(rows, [infotheory._bfgs(x, gtol, maxiter)])
+        return rows
+
+    @classmethod
+    def _bfgs(cls, fun, x, gtol, maxiter):
+        # One run advanced through ``_lockstep``.
+        (res,) = infotheory._lockstep(cls._rowwise(fun), [infotheory._bfgs(x, gtol, maxiter)])
         return res
+
+    @staticmethod
+    def _rosenbrock(x):
+        # Rosenbrock's function in three variables, with its gradient.
+        inner = x[1:] - x[:-1] ** 2
+        grad = np.zeros(3)
+        grad[:-1] = -400 * x[:-1] * inner - 2 * (1 - x[:-1])
+        grad[1:] += 200 * inner
+        return float(np.sum(100 * inner**2 + (1 - x[:-1]) ** 2)), grad
 
     @staticmethod
     def _quadratic(seed=3):
@@ -951,20 +966,53 @@ class TestSolvers:
         assert (res.nit, res.nfev, res.success) == (1, 2, True)
 
     def test_bfgs_fails_when_iterations_run_out(self):
-        # Rosenbrock's function in three variables: no single step reaches gtol.
-        def rosenbrock(x):
-            inner = x[1:] - x[:-1] ** 2
-            grad = np.zeros(3)
-            grad[:-1] = -400 * x[:-1] * inner - 2 * (1 - x[:-1])
-            grad[1:] += 200 * inner
-            return float(np.sum(100 * inner**2 + (1 - x[:-1]) ** 2)), grad
-
+        # On Rosenbrock's function no single step reaches gtol.
+        rosenbrock = self._rosenbrock
         res = self._bfgs(rosenbrock, np.zeros(3), 1e-8, 1)
         assert (res.nit, res.success) == (1, False)
         assert res.fun < rosenbrock(np.zeros(3))[0]
         res = self._bfgs(rosenbrock, np.zeros(3), 1e-8, 400)
         assert res.success
         assert_allclose(res.x, np.ones(3), atol=1e-6)
+
+    @classmethod
+    def _matches_reference(cls, fun, x, maxiter=400):
+        """The ``_bfgs`` run from ``x``, checked against ``reference_bfgs`` in one lockstep."""
+        gtol = infotheory._GRADIENT_TOL
+        scalar, vector = infotheory._lockstep(
+            cls._rowwise(fun),
+            [infotheory._bfgs(x, gtol, maxiter), reference_bfgs(x, gtol, maxiter)],
+        )
+        assert scalar[2:] == vector[2:]
+        assert isinstance(scalar.x, np.ndarray)
+        assert_allclose(scalar.x, vector.x, rtol=0, atol=1e-12)
+        assert abs(scalar.fun - vector.fun) <= 1e-12
+        return scalar
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        m=arrays(np.float64, (3, 3), elements=st.floats(-1, 1)),
+        b=arrays(np.float64, 3, elements=st.floats(-1, 1)),
+        x=arrays(np.float64, 3, elements=st.floats(-2, 2)),
+        shift=st.floats(0.1, 1),
+    )
+    def test_bfgs_matches_the_numpy_reference_on_convex_quadratics(self, m, b, x, shift):
+        a = m @ m.T + shift * np.eye(3)
+        res = self._matches_reference(lambda v: (0.5 * v @ a @ v - b @ v, a @ v - b), x)
+        assert res.success
+
+    @pytest.mark.parametrize("maxiter", [1, 400])
+    @pytest.mark.parametrize(
+        "x",
+        [(0.0, 0.0, 0.0), (-1.2, 1.0, 1.0), (-1.0, -1.0, -1.0), (2.0, 2.0, 2.0)],
+        ids=["origin", "classic", "negative", "beyond"],
+    )
+    def test_bfgs_matches_the_numpy_reference_on_rosenbrock(self, x, maxiter):
+        # Both forms round differently, and mid-run Rosenbrock's curvature
+        # carries the points apart by up to 4e-10; a failed first iteration
+        # and a converged run agree within 1e-12.
+        res = self._matches_reference(self._rosenbrock, np.array(x), maxiter)
+        assert res.success == (maxiter == 400)
 
 
 class TestBlochObjective:
@@ -1038,6 +1086,21 @@ class TestLockstep:
         points=arrays(np.float64, (5, 3), elements=st.floats(-2, 2)),
     )
     def test_rows_equal_points_evaluated_alone(self, case, points):
+        self._assert_rows_alone(case, points)
+
+    @pytest.mark.parametrize("rows", [6, infotheory._BLOCK], ids=["restarts", "block"])
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(case=channel_pairs_and_states(), data=st.data())
+    def test_rows_equal_points_evaluated_alone_at_real_stack_sizes(self, rows, case, data):
+        # The default restart count and a full block; the points pulled into
+        # the ball make rounds with every row inside.
+        points = data.draw(arrays(np.float64, (rows, 3), elements=st.floats(-2, 2)))
+        self._assert_rows_alone(case, points)
+        self._assert_rows_alone(case, points / (1 + np.linalg.norm(points, axis=1))[:, None])
+
+    @staticmethod
+    def _assert_rows_alone(case, points):
+        """Each row of one stacked objective call is bit for bit the row evaluated alone."""
         ((e1, alpha), (e2, beta)), _ = case
         for composed in (switch(e1, e2), coherent_superposition(e1, alpha, e2, beta)):
             objective = infotheory._objective(fix_control(composed))

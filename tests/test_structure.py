@@ -426,6 +426,61 @@ def test_check_sees_caches(tmp_path):
     ]
 
 
+def _einsum_arrays(path) -> list:
+    """``(line, arrays)`` of each ``einsum`` call in ``path``, ``arrays`` its array operands.
+
+    A call is ``einsum`` by name or as an attribute (``np.einsum``). With a
+    subscripts string first, every later argument is an array; in the sublist
+    form, ``einsum(a, [0, 1], b, [1, 2], [0, 2])``, every other argument is,
+    starting with the first, and an output sublist may close the call.
+    """
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name != "einsum":
+            continue
+        first = node.args[0] if node.args else None
+        subscripts = isinstance(first, ast.Constant) and isinstance(first.value, str)
+        arrays = len(node.args) - 1 if subscripts else len(node.args) // 2
+        found.append((node.lineno, arrays))
+    return found
+
+
+def test_every_einsum_takes_at_most_two_arrays():
+    # numpy runs an unoptimized einsum of three or more arrays as one nested
+    # loop over every index; two arrays at most keep it a plain contraction.
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 1
+    found = {path.name: _einsum_arrays(path) for path in sources}
+    assert sum(map(len, found.values())) >= 2
+    offenders = {
+        name: wide for name, calls in found.items() if (wide := [c for c in calls if c[1] > 2])
+    }
+    assert offenders == {}
+
+
+def test_check_sees_einsum_arrays(tmp_path):
+    # Counted: subscripts with two and three arrays, through numpy or by name,
+    # and the sublist form with one array (its output sublist closing the call
+    # or not) and with three. Not counted: another function's call.
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import numpy as np\n"
+        "from numpy import einsum\n"
+        "np.einsum('ij,jk->ik', a, b)\n"
+        "einsum('aij,jk,alk->il', ks, rho, ks.conj())\n"
+        "np.einsum(rho, [0, 1, 0, 2], [1, 2])\n"
+        "np.einsum(rho, [0, 0])\n"
+        "np.einsum(a, [0, 1], b, [1, 2], c, [2, 3], [0, 3])\n"
+        "np.matmul(a, b)\n",
+        encoding="utf-8",
+    )
+    assert _einsum_arrays(source) == [(3, 2), (4, 3), (5, 1), (6, 1), (7, 3)]
+
+
 def _imported_modules(*args) -> set:
     """Every module ``python -X importtime *args`` imports, read from its stderr."""
     paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]

@@ -543,13 +543,17 @@ class TestComposeCounts:
             (lambda: leaf_models(Family.BIT_FLIP, 2.0),
              "bitflip needs a multiple of 1 channels, got 2.0"),
             (lambda: leaf_models(Family.BIT_FLIP, "4"),
-             "bitflip needs a multiple of 1 channels, got 4"),
+             "bitflip needs a multiple of 1 channels, got '4'"),
             (lambda: family_channels(Family.MIXED_ALTERNATING, 0.3, 4.0),
              "mixed_alt needs a multiple of 2 channels, got 4.0"),
+            (lambda: family_channels(Family.MIXED_ALTERNATING, 0.3, np.int64(3)),
+             "mixed_alt needs a multiple of 2 channels, got 3"),
             (lambda: concentrated_amplitudes(0),
              "vacuum amplitudes need at least one entry, got 0"),
         ],
-        ids=["float_count", "string_count", "float_family_count", "empty_vector"],
+        ids=[
+            "float_count", "string_count", "float_family_count", "numpy_odd_count", "empty_vector"
+        ],
     )
     def test_bad_counts_raise_value_error(self, call, message):
         # A float or string count once failed with a TypeError from ``*`` or
