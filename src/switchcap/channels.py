@@ -11,12 +11,11 @@ Channels are immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qmatrix import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_complex_matrix
+from .qmatrix import PAULIS, as_complex_matrix, probability, subsystem_dims
 
 __all__ = [
     "Channel",
@@ -59,10 +58,10 @@ class Channel:
     label : str
         Human-readable tag used in reports and CSV output.
 
-    Raises ``ValueError`` when a dimension is not a positive integer, an
-    operator has the wrong shape or a non-finite entry, or when ``sum_i
-    K_i^dag K_i`` deviates from the identity by more than
-    ``COMPLETENESS_TOL`` (an empty list included).
+    Raises ``ValueError`` when a dimension is not a positive integer (the
+    text names the tuple that fails), an operator has the wrong shape or a
+    non-finite entry, or when ``sum_i K_i^dag K_i`` deviates from the
+    identity by more than ``COMPLETENESS_TOL`` (an empty list included).
     """
 
     kraus: np.ndarray
@@ -71,18 +70,9 @@ class Channel:
     label: str = ""
 
     def __post_init__(self):
-        input_dims, output_dims = tuple(self.input_dims), tuple(self.output_dims)
-        try:
-            input_dims = tuple(map(operator.index, input_dims))
-            output_dims = tuple(map(operator.index, output_dims))
-            positive = all(d >= 1 for d in input_dims + output_dims)
-        except TypeError:
-            positive = False
-        if not positive:
-            raise ValueError("subsystem dimensions must be positive integers")
-        object.__setattr__(self, "input_dims", input_dims)
-        object.__setattr__(self, "output_dims", output_dims)
-        shape = (math.prod(output_dims), math.prod(input_dims))
+        object.__setattr__(self, "input_dims", subsystem_dims(self.input_dims))
+        object.__setattr__(self, "output_dims", subsystem_dims(self.output_dims))
+        shape = (math.prod(self.output_dims), math.prod(self.input_dims))
         kraus = self.kraus
         if isinstance(kraus, np.ndarray) and kraus.ndim == 3:
             wrong = {kraus.shape[1:]} - {shape}
@@ -128,16 +118,7 @@ class Channel:
         )
 
 
-def _check_probability(value: float, name: str) -> float:
-    v = float(value)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return v
-
-
-#: The Pauli operators ``I, X, Y, Z`` stacked, and the pairs the flip channels weigh.
-_PAULIS = np.stack((IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z))
-_BIT_FLIP_OPS, _PHASE_FLIP_OPS = _PAULIS[[0, 1]], _PAULIS[[0, 3]]
+_BIT_FLIP_OPS, _PHASE_FLIP_OPS = PAULIS[[0, 1]], PAULIS[[0, 3]]
 
 
 def _weighted(weights: list, operators: np.ndarray) -> np.ndarray:
@@ -149,13 +130,13 @@ def _weighted(weights: list, operators: np.ndarray) -> np.ndarray:
 
 def bit_flip(p: float) -> Channel:
     """Bit-flip channel: identity with probability 1-p, sigma_x with p."""
-    p = _check_probability(p, "p")
+    p = probability(p, "p")
     return Channel(_weighted([1 - p, p], _BIT_FLIP_OPS), (2,), (2,), label=f"bitflip(p={p:g})")
 
 
 def phase_flip(p: float) -> Channel:
     """Phase-flip channel: identity with probability 1-p, sigma_z with p."""
-    p = _check_probability(p, "p")
+    p = probability(p, "p")
     return Channel(_weighted([1 - p, p], _PHASE_FLIP_OPS), (2,), (2,), label=f"phaseflip(p={p:g})")
 
 
@@ -163,20 +144,20 @@ def _pauli_kraus(px: float, py: float, pz: float) -> np.ndarray:
     total = px + py + pz
     if total > 1.0 + 1e-12:
         raise ValueError(f"px + py + pz = {total} exceeds 1")
-    return _weighted([max(1 - total, 0.0), px, py, pz], _PAULIS)
+    return _weighted([max(1 - total, 0.0), px, py, pz], PAULIS)
 
 
 def pauli(px: float, py: float, pz: float) -> Channel:
     """Pauli channel with independent x, y and z error probabilities."""
-    px = _check_probability(px, "px")
-    py = _check_probability(py, "py")
-    pz = _check_probability(pz, "pz")
+    px = probability(px, "px")
+    py = probability(py, "py")
+    pz = probability(pz, "pz")
     return Channel(_pauli_kraus(px, py, pz), (2,), (2,), label=f"pauli({px:g},{py:g},{pz:g})")
 
 
 def depolarizing(p: float) -> Channel:
     """Depolarizing channel: Pauli channel with equal error probabilities p/3."""
-    p = _check_probability(p, "p")
+    p = probability(p, "p")
     return Channel(_pauli_kraus(p / 3, p / 3, p / 3), (2,), (2,), label=f"depolarizing(p={p:g})")
 
 

@@ -142,14 +142,16 @@ def _optimizer_config(args) -> OptimizerConfig:
         raise _UsageError(str(exc)) from None
 
 
-def _add_common(parser, default_tol: float, tol_help: str):
+def _add_common(parser, tol_help: str, default_tol: float = OptimizerConfig.tolerance):
     parser.add_argument("--p-start", type=float, default=0.0)
     parser.add_argument("--p-end", type=float, default=1.0)
     parser.add_argument("--p-steps", type=int, default=21)
     parser.add_argument("--out", type=str, default=None, help="output CSV path")
-    parser.add_argument("--restarts", type=int, default=6, help="quantum-capacity restarts")
+    parser.add_argument(
+        "--restarts", type=int, default=OptimizerConfig.restarts, help="quantum-capacity restarts"
+    )
     parser.add_argument("--tol", type=float, default=default_tol, help=tol_help)
-    parser.add_argument("--seed", type=int, default=20240601)
+    parser.add_argument("--seed", type=int, default=OptimizerConfig.seed)
 
 
 def build_parser() -> _Parser:
@@ -179,12 +181,12 @@ def build_parser() -> _Parser:
         help="comma-separated vacuum amplitudes (real or complex, e.g. 0.5+0.5j), "
         "one per Kraus operator of the channel being extended",
     )
-    _add_common(sweep, 1e-6, "quantum-capacity restart-agreement tolerance in bits")
+    _add_common(sweep, "quantum-capacity restart-agreement tolerance in bits")
 
     validate = sub.add_parser(
         "validate", help="compare the optimizer against every closed form"
     )
-    _add_common(validate, 1e-3, "maximum |numeric - closed form| accepted")
+    _add_common(validate, "maximum |numeric - closed form| accepted", 1e-3)
 
     vacuum = sub.add_parser(
         "vacuum-sweep",
@@ -197,7 +199,7 @@ def build_parser() -> _Parser:
         help="amplitude set (comma-separated, one per Kraus operator of a depolarizing "
         "channel, real or complex); repeatable, defaults to four reference sets",
     )
-    _add_common(vacuum, 1e-6, "quantum-capacity restart-agreement tolerance in bits")
+    _add_common(vacuum, "quantum-capacity restart-agreement tolerance in bits")
     sweep.set_defaults(run=cmd_sweep)
     validate.set_defaults(run=cmd_validate)
     vacuum.set_defaults(run=cmd_vacuum_sweep)

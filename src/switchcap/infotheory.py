@@ -49,10 +49,7 @@ import numpy as np
 
 from .channels import Channel, apply, complementary_output
 from .qmatrix import (
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
+    PAULIS,
     assert_density_matrix,
     partial_trace,
     unit_vector,
@@ -84,7 +81,7 @@ _LN2 = math.log(2.0)
 #: Eigenvalues at or below this drop out of the entropy and its gradient.
 _SPECTRUM_FLOOR = 1e-15
 #: ``sigma_mu / 2`` for ``mu = 0..3``: a qubit state is ``[0] + r . [1:]``.
-_PAULI_HALVES = np.stack([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]) / 2
+_PAULI_HALVES = PAULIS / 2
 #: Most runs :func:`_lockstep` advances together, which bounds the memory of one round.
 _BLOCK = 32
 

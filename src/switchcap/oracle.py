@@ -31,6 +31,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Tuple
 
 from .channels import bit_flip, depolarizing, phase_flip
+from .qmatrix import probability
 from .supermaps import Family, SupermapKind, fold, leaf_models
 
 __all__ = [
@@ -293,9 +294,7 @@ def list_available() -> List[ClosedFormId]:
 
 def closed_form(form_id: ClosedFormId, p: float) -> float:
     """Evaluate the closed-form capacity for ``form_id`` at noise ``p``, in bits."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    p = probability(p, "p")
     fn = _REGISTRY.get(form_id)
     if fn is None:
         available = ", ".join(str(i) for i in _REGISTRY)

@@ -5,7 +5,9 @@ row-major order. Dimensions in this package stay tiny (at most 16), so
 everything is dense and eager; no attempt is made at sparsity or
 large-dimension performance.
 
-Entropies are reported in bits (log base 2) throughout.
+Entropies are reported in bits (log base 2) throughout. This module owns the
+entry rules: the checks, and their error texts, of matrices, states,
+subsystem dimensions and probabilities; every other module calls them.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
+    "PAULIS",
     "HERMITIAN_TOL",
     "EIGENVALUE_FLOOR",
     "as_complex_matrix",
+    "subsystem_dims",
+    "probability",
     "partial_trace",
     "eig_hermitian",
     "von_neumann_entropy",
@@ -35,6 +40,8 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+#: The Pauli operators ``I, X, Y, Z`` stacked, shape ``(4, 2, 2)``.
+PAULIS = np.stack((IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z))
 
 #: Tolerance for Hermiticity and trace checks (max-abs deviation).
 HERMITIAN_TOL = 1e-10
@@ -51,6 +58,27 @@ def as_complex_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
+
+
+def subsystem_dims(dims) -> tuple:
+    """``dims`` as a tuple of ``int``s, each an ``operator.index`` integer of at least 1."""
+    given = tuple(dims)
+    try:
+        dims = tuple(map(operator.index, given))
+        positive = all(d >= 1 for d in dims)
+    except TypeError:
+        positive = False
+    if not positive:
+        raise ValueError(f"subsystem dimensions must be positive integers, got {given}")
+    return dims
+
+
+def probability(value, name: str) -> float:
+    """``value`` as a float in ``[0, 1]``, which NaN fails; ``name`` names it in errors."""
+    v = float(value)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return v
 
 
 def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -74,14 +102,7 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> 
         holds a non-integer.
     """
     rho = as_complex_matrix(rho)
-    given = tuple(dims)
-    try:
-        dims = tuple(map(operator.index, given))
-        positive = all(d >= 1 for d in dims)
-    except TypeError:
-        positive = False
-    if not positive:
-        raise ValueError(f"subsystem dimensions must be positive integers, got {given}")
+    dims = subsystem_dims(dims)
     total = int(np.prod(dims))
     if rho.shape != (total, total):
         raise ValueError(

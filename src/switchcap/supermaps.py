@@ -333,10 +333,10 @@ def fix_control(ch: Channel, control: Optional[np.ndarray] = None) -> Channel:
 
     When there are more than ``d_in * d_out`` operators ``A_a``, they are
     replaced by exactly ``d_in * d_out`` operators with the same Gram
-    matrix ``V^dag V`` of the stacked ``vec(A_a)``, hence the same channel;
-    where its Choi rank is smaller, the extra operators are zero up to
-    rounding. Capacities are unchanged: the complementary channel changes
-    only by an isometry on the environment.
+    ``V^dag V`` of the stacked ``vec(A_a)``, hence the same channel. Below
+    full Choi rank the extra ones have norms near sqrt(eps), about 1e-8, as
+    the Gram squares the conditioning of ``V``. Capacities are unchanged:
+    the complementary channel changes only by an isometry on the environment.
 
     The embedding ``|c> (x) I_target`` of the default control is built once
     per ``(d_control, d_target)``. The operators, plain or compressed, are

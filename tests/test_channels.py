@@ -26,6 +26,7 @@ from switchcap.qmatrix import (
     SIGMA_Y,
     SIGMA_Z,
     assert_density_matrix,
+    partial_trace,
 )
 from switchcap.supermaps import SupermapKind, coherent_superposition, fix_control, switch
 
@@ -34,6 +35,19 @@ KET1 = projector(np.array([0, 1], dtype=complex))
 PLUS = projector(np.array([1, 1], dtype=complex) / np.sqrt(2))
 
 PAULIS = [IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]
+
+INVALID_DIMENSIONS = pytest.mark.parametrize(
+    "input_dims,output_dims",
+    [
+        ((2.7,), (2,)),
+        ((2,), (2.5,)),
+        ((2.0,), (2,)),
+        ((np.nan,), (2,)),
+        ((0,), (2,)),
+        (("2",), (2,)),
+    ],
+    ids=["fractional_input", "fractional_output", "float", "nan", "zero", "string"],
+)
 
 CATALOG = [
     lambda p: bit_flip(p),
@@ -376,22 +390,23 @@ class TestChannelStorage:
             assert_array_equal(k, expected)
         assert_array_equal(np.vstack(ch.kraus), np.vstack(source))
 
-    @pytest.mark.parametrize(
-        "input_dims,output_dims",
-        [
-            ((2.7,), (2,)),
-            ((2,), (2.5,)),
-            ((2.0,), (2,)),
-            ((np.nan,), (2,)),
-            ((0,), (2,)),
-            (("2",), (2,)),
-        ],
-        ids=["fractional_input", "fractional_output", "float", "nan", "zero", "string"],
-    )
+    @INVALID_DIMENSIONS
     def test_rejects_invalid_dimensions(self, input_dims, output_dims):
         # A fractional dimension is not truncated to a smaller subsystem.
-        with pytest.raises(ValueError, match=r"^subsystem dimensions must be positive integers$"):
+        with pytest.raises(
+            ValueError, match=r"^subsystem dimensions must be positive integers, got \(.*\)$"
+        ):
             Channel((np.eye(2),), input_dims, output_dims)
+
+    @INVALID_DIMENSIONS
+    def test_dimension_error_is_the_one_partial_trace_raises(self, input_dims, output_dims):
+        # One rule words both: the text names the tuple that fails.
+        bad = input_dims if output_dims == (2,) else output_dims
+        with pytest.raises(ValueError) as from_channel:
+            Channel((np.eye(2),), input_dims, output_dims)
+        with pytest.raises(ValueError) as from_partial_trace:
+            partial_trace(np.eye(2) / 2, bad, keep=[0])
+        assert str(from_channel.value) == str(from_partial_trace.value)
 
     def test_numpy_integer_dimensions_are_stored_as_ints(self):
         ch = Channel((np.eye(2),), (np.int64(2),), (np.uint8(2),))

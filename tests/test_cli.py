@@ -149,6 +149,24 @@ class TestSweep:
             ]
         ) == 1
 
+    def test_p_outside_the_unit_interval_is_a_usage_error(self, capsys):
+        argv = ["sweep", "--config", "switch", "--family", "bitflip", "--p-start", "1.5"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --p-start and --p-end must lie in [0, 1]\n"
+        assert captured.out == ""
+
+    def test_stdout_without_out_is_the_csv_bytes(self, tmp_path, capsys):
+        args = [
+            "sweep", "--config", "switch", "--family", "bitflip",
+            "--capacity", "classical", "--p-steps", "3",
+        ]
+        out = tmp_path / "sweep.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
     def test_amps_rejected_for_switch(self):
         code = main(
             [
@@ -461,6 +479,18 @@ class TestOptimizerSettings:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--config", "switch", "--family", "bitflip"], ["validate"], ["vacuum-sweep"]],
+    )
+    def test_defaults_are_the_optimizer_configs(self, argv):
+        # validate's --tol is the closed-form bound, not the restart agreement.
+        args = cli.build_parser().parse_args(argv)
+        cfg = OptimizerConfig()
+        assert (args.restarts, args.seed) == (cfg.restarts, cfg.seed)
+        assert args.tol == (1e-3 if argv == ["validate"] else cfg.tolerance)
 
 
 class TestEntryPoint:

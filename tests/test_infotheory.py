@@ -647,6 +647,10 @@ class TestQuantumCapacity:
         res = quantum_capacity(identity_channel(), FAST)
         assert res.value == pytest.approx(1.0, abs=1e-6)
 
+    def test_rejects_a_non_qubit_input(self):
+        with pytest.raises(ValueError, match=r"^quantum capacity requires a qubit input space$"):
+            quantum_capacity(identity_channel(4))
+
     @pytest.mark.parametrize("p,expected", [(0.0, 1.0), (0.5, 0.0), (1.0, 1.0)])
     def test_bit_flip_switch_endpoints(self, p, expected):
         fixed = build_fixed(SupermapKind.SWITCH, Family.BIT_FLIP, p)

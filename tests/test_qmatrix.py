@@ -7,6 +7,7 @@ from switchcap.qmatrix import (
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Z,
+    as_complex_matrix,
     assert_density_matrix,
     eig_hermitian,
     entropy_of_spectrum,
@@ -46,6 +47,12 @@ class TestDirectSum:
                 np.linalg.svd(b, compute_uv=False)[0],
             )
             assert norm == pytest.approx(expected, abs=1e-12)
+
+
+class TestAsComplexMatrix:
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match=r"^expected a 2-D matrix, got shape \(2,\)$"):
+            as_complex_matrix(np.ones(2))
 
 
 class TestPartialTrace:
@@ -185,6 +192,7 @@ class TestDensityValidation:
             (np.eye(2), "trace"),
             (np.array([[0.5, 0.5], [-0.5, 0.5]]), "not Hermitian"),
             (np.diag([1.5, -0.5]), "negative eigenvalue"),
+            (np.ones((2, 3)) / 3, r"^density matrix must be square, got \(2, 3\)$"),
         ],
     )
     def test_rejects_invalid(self, rho, message):

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -181,8 +182,13 @@ def test_check_sees_unread_private_names(tmp_path):
     ]
 
 
-#: Texts of the state rules: only :mod:`switchcap.qmatrix` decides and words them.
+#: Texts of the entry rules: only :mod:`switchcap.qmatrix` decides and words them.
 STATE_RULE_TEXTS = ("matrix contains NaN or Inf entries", "not Hermitian", "below positivity floor")
+ENTRY_RULE_TEXTS = STATE_RULE_TEXTS + (
+    "subsystem dimensions must be positive integers",
+    # The CLI's own "--p-start and --p-end must lie in [0, 1]" has no ", got".
+    "must lie in [0, 1], got",
+)
 
 
 def _raised_texts(paths, texts) -> dict:
@@ -206,8 +212,8 @@ def _raised_texts(paths, texts) -> dict:
 def test_state_rules_are_raised_by_qmatrix_alone():
     sources = sorted(PACKAGE.glob("*.py"))
     assert len(sources) > 1
-    assert _raised_texts(sources, STATE_RULE_TEXTS) == {
-        text: {"qmatrix.py"} for text in STATE_RULE_TEXTS
+    assert _raised_texts(sources, ENTRY_RULE_TEXTS) == {
+        text: {"qmatrix.py"} for text in ENTRY_RULE_TEXTS
     }
 
 
@@ -509,3 +515,15 @@ def test_no_capacity_run_imports_scipy():
     for imported in (library, cli):
         assert {"numpy", "switchcap.infotheory"} <= imported
         assert not {name for name in imported if name.split(".")[0] == "scipy"}
+
+
+def test_source_parses_at_the_declared_python_floor():
+    # Read with a regex: tomllib is new in Python 3.11, above the floor.
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
+    assert floor is not None
+    version = tuple(map(int, floor.groups()))
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 1
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
