@@ -16,21 +16,16 @@ from switchcap import (
     build_fixed,
     quantum_capacity,
 )
+from switchcap.cli import DEFAULT_AMPLITUDE_SETS
 
 cfg = OptimizerConfig(restarts=5)
-sets = [
-    (0.5, 0.5, 0.5, 0.5),
-    (1 / np.sqrt(2), 1 / np.sqrt(6), 1 / np.sqrt(6), 1 / np.sqrt(6)),
-    (np.sqrt(3) / 2, 1 / (2 * np.sqrt(3)), 1 / (2 * np.sqrt(3)), 1 / (2 * np.sqrt(3))),
-    (1.0, 0.0, 0.0, 0.0),
-]
 labels = ["(1/2,1/2,1/2,1/2)", "(.71,.41,.41,.41)", "(.87,.29,.29,.29)", "(1,0,0,0)"]
 
 print("one-shot quantum capacity of the superposition of two depolarizing channels")
 print("p      " + "".join(f"{l:>20s}" for l in labels))
 for p in np.linspace(0.0, 0.3, 7):
     row = [f"p={p:4.2f}"]
-    for amps in sets:
+    for amps in DEFAULT_AMPLITUDE_SETS:
         value = quantum_capacity(
             build_fixed(SupermapKind.COHERENT_SUP, Family.DEPOLARIZING, float(p), amps), cfg
         ).value

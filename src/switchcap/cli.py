@@ -172,7 +172,7 @@ def build_parser() -> _Parser:
     sweep.add_argument(
         "--capacity",
         default="both",
-        choices=["classical", "quantum", "both"],
+        choices=[c.token for c in CapacityType] + ["both"],
     )
     sweep.add_argument(
         "--amps",
@@ -220,11 +220,12 @@ def _capacity(cap: CapacityType, fixed, cfg: OptimizerConfig):
 def _sweep(args, progress: str, header: str, kind, family, amp_sets, capacities) -> int:
     """One CSV row per grid point, amplitude set and capacity, sorted in that order.
 
-    ``amp_sets`` pairs each amplitude vector with the CSV fields labelling it.
-    Each (point, vector) is built once, with its control fixed, and every
-    capacity is solved on that build. The first point is built before any
-    solve, so a vector the library rejects (say, of the wrong length) is a
-    usage error.
+    The stable sort keys on the value of ``p``, so a grid that repeats a value
+    writes all its classical rows there before the quantum ones. ``amp_sets``
+    pairs each amplitude vector with the CSV fields labelling it. Each (point,
+    vector) is built once, with its control fixed, and every capacity is solved
+    on that build. The first point is built before any solve, so a vector the
+    library rejects (say, of the wrong length) is a usage error.
     """
     grid = _grid(args.p_start, args.p_end, args.p_steps)
 

@@ -133,7 +133,8 @@ class OptimizerConfig:
     ``restarts - 1`` seeded ones), which advance in lockstep. ``tolerance``
     is the absolute agreement, in bits, required between the two best
     restarts for the run to be flagged converged. ``restarts`` and ``seed``
-    must be integers (whatever ``operator.index`` accepts), stored as ``int``.
+    must be integers (whatever ``operator.index`` accepts), stored as ``int``;
+    ``tolerance`` whatever ``float`` accepts, numeric strings too, as ``float``.
     """
 
     restarts: int = 6
@@ -149,6 +150,10 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        try:
+            object.__setattr__(self, "tolerance", float(self.tolerance))
+        except (TypeError, ValueError):
+            object.__setattr__(self, "tolerance", math.nan)
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be finite and positive")
         if self.seed < 0:
@@ -199,11 +204,8 @@ def coherent_information(ch: Channel, rho: np.ndarray) -> float:
 
 
 def target_marginal(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    """Channel output reduced to the target (last) output factor."""
-    out = apply(ch, rho)
-    if len(ch.output_dims) == 1:
-        return out
-    return partial_trace(out, ch.output_dims, keep=[len(ch.output_dims) - 1])
+    """Channel output reduced to the target (last) output factor: all of a one-factor output."""
+    return partial_trace(apply(ch, rho), ch.output_dims, keep=[len(ch.output_dims) - 1])
 
 
 def _qubit_entropy(a: float, d: float, b: complex) -> float:

@@ -51,11 +51,11 @@ EIGENVALUE_FLOOR = -1e-10
 
 
 def as_complex_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a 2-D complex128 array and reject non-finite entries."""
+    """Coerce ``a`` to a 2-D complex128 array; reject NaN or Inf in either part, by one scan."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
@@ -132,13 +132,9 @@ def eig_hermitian(h: np.ndarray) -> np.ndarray:
 
     Uses a dedicated Hermitian solver so the spectrum is real by
     construction. Raises ``ValueError`` if ``h`` deviates from Hermiticity
-    by more than ``HERMITIAN_TOL`` in max-abs norm.
+    by more than ``HERMITIAN_TOL`` in max-abs norm, after :func:`as_complex_matrix`.
     """
-    return _checked_spectrum(as_complex_matrix(h))
-
-
-def _checked_spectrum(h: np.ndarray) -> np.ndarray:
-    """:func:`eig_hermitian` of a matrix already through ``as_complex_matrix``."""
+    h = as_complex_matrix(h)
     dev = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
     if dev > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
@@ -176,7 +172,7 @@ def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = as_complex_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
-    eigs = _checked_spectrum(rho)
+    eigs = eig_hermitian(rho)
     tr = np.trace(rho)
     if abs(tr - 1.0) > HERMITIAN_TOL:
         raise ValueError(f"trace {tr} differs from 1 by more than {HERMITIAN_TOL}")

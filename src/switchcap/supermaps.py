@@ -355,15 +355,14 @@ def fix_control(ch: Channel, control: Optional[np.ndarray] = None) -> Channel:
     n, d_out, _ = ch.kraus.shape
     rank = d_out * d_target
     stacked = ch.kraus.reshape(-1, ch.d_in)
+    kraus = np.empty((min(n, rank), d_out, d_target), dtype=complex)
     if n > rank:
         # Rows sqrt(lam_i) u_i^dag have Gram sum_i lam_i u_i u_i^dag = V^dag V.
         v = (stacked @ embed).reshape(n, rank)
         eigvals, eigvecs = np.linalg.eigh(v.conj().T @ v)
-        kraus = np.empty((rank, d_out, d_target), dtype=complex)
         weights = np.sqrt(np.clip(eigvals, 0.0, None))[:, None]
         np.multiply(weights, eigvecs.conj().T, out=kraus.reshape(rank, rank))
     else:
-        kraus = np.empty((n, d_out, d_target), dtype=complex)
         np.matmul(stacked, embed, out=kraus.reshape(n * d_out, d_target))
     kraus.setflags(write=False)
     return Channel(kraus, (d_target,), ch.output_dims, label=f"{ch.label} @ fixed control")

@@ -276,6 +276,13 @@ class TestCatalogArrays:
 
 
 class TestChannelStorage:
+    def test_repr_names_label_kraus_count_and_dimensions(self):
+        assert repr(bit_flip(0.2)) == "Channel(label='bitflip(p=0.2)', n_kraus=2, in=(2,), out=(2,))"
+        composed = fix_control(switch(depolarizing(0.1), depolarizing(0.1)))
+        assert repr(composed) == (
+            f"Channel(label={composed.label!r}, n_kraus={composed.n_kraus}, in=(2,), out=(2, 2))"
+        )
+
     def test_kraus_are_read_only_views_of_one_array(self):
         source = [k.copy() for k in bit_flip(0.3).kraus]
         ch = Channel(source, (2,), (2,))

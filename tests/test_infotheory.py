@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from _helpers import (
     channel_pairs_and_states,
@@ -249,6 +249,20 @@ class TestOptimizerConfig:
     def test_numpy_integers_accepted(self):
         cfg = OptimizerConfig(restarts=np.int64(2), seed=np.uint32(5))
         assert quantum_capacity(identity_channel(), cfg).evaluations > 0
+
+    @pytest.mark.parametrize("value", [None, "tight", "", 1j, [1e-6], "nan", "-1e-6"])
+    def test_tolerance_that_is_no_positive_number_rejected(self, value):
+        # Rejected with the text of the range rule, not a comparison TypeError.
+        with pytest.raises(ValueError, match=r"^tolerance must be finite and positive$"):
+            OptimizerConfig(tolerance=value)
+
+    @pytest.mark.parametrize("value", ["1e-3", " 0.001 ", np.float32(0.5), 2])
+    def test_tolerance_is_stored_as_the_float_it_converts_to(self, value):
+        # Numeric strings are accepted, as ``qmatrix.probability`` accepts them.
+        cfg = OptimizerConfig(tolerance=value)
+        assert type(cfg.tolerance) is float
+        assert cfg.tolerance == float(value)
+        assert cfg == OptimizerConfig(tolerance=float(value))
 
 
 class TestHolevoInformation:
@@ -979,6 +993,20 @@ class TestSolvers:
         assert res.success
         assert_allclose(res.x, np.ones(3), atol=1e-6)
 
+    def test_bfgs_fails_when_the_line_search_finds_no_decrease(self):
+        # The value rises along the descent direction -g, so every halving of
+        # the step fails the Armijo test: the unit step and 19 halvings, down
+        # to 2**-19, are tried before the step drops below 1e-6.
+        x0 = np.array([0.25, -0.5, 0.0])
+
+        def rising(x):
+            return float(np.abs(x - x0).sum()), np.array([1.0, 0.0, 0.0])
+
+        res = self._bfgs(rising, x0, 1e-8, 400)
+        assert (res.nit, res.nfev, res.success) == (0, 21, False)
+        assert res.fun == 0.0
+        assert np.array_equal(res.x, x0)
+
     @classmethod
     def _matches_reference(cls, fun, x, maxiter=400):
         """The ``_bfgs`` run from ``x``, checked against ``reference_bfgs`` in one lockstep."""
@@ -1221,7 +1249,7 @@ class TestTargetMarginal:
         from switchcap.channels import apply
 
         rho = random_density(np.random.default_rng(31), 2)
-        assert_allclose(target_marginal(bit_flip(0.2), rho), apply(bit_flip(0.2), rho))
+        assert_array_equal(target_marginal(bit_flip(0.2), rho), apply(bit_flip(0.2), rho))
 
     def test_marginal_traces_control(self):
         fixed = build_fixed(SupermapKind.SWITCH, Family.PHASE_FLIP, 0.3)

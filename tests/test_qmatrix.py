@@ -54,6 +54,16 @@ class TestAsComplexMatrix:
         with pytest.raises(ValueError, match=r"^expected a 2-D matrix, got shape \(2,\)$"):
             as_complex_matrix(np.ones(2))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, -np.inf), complex(np.inf, np.nan)],
+    )
+    def test_rejects_nan_or_inf_in_either_part(self, entry):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = entry
+        with pytest.raises(ValueError, match=r"^matrix contains NaN or Inf entries$"):
+            as_complex_matrix(m)
+
 
 class TestPartialTrace:
     def test_product_state(self):
