@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmatrix import PAULIS, as_complex_matrix, probability, subsystem_dims
+from .qmatrix import PAULIS, as_complex_matrix, probability, square_matrix, subsystem_dims
 
 __all__ = [
     "Channel",
@@ -166,16 +166,6 @@ def identity_channel(dim: int = 2) -> Channel:
     return Channel((np.eye(dim, dtype=complex),), (dim,), (dim,), label="identity")
 
 
-def _input_state(ch: Channel, rho) -> np.ndarray:
-    """``rho`` as a complex matrix, rejected unless it is ``d_in x d_in``."""
-    rho = as_complex_matrix(rho)
-    if rho.shape != (ch.d_in, ch.d_in):
-        raise ValueError(
-            f"state of shape {rho.shape} does not match channel input dim {ch.d_in}"
-        )
-    return rho
-
-
 def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
     """Apply the channel: ``sum_i K_i rho K_i^dag``.
 
@@ -184,7 +174,7 @@ def apply(ch: Channel, rho: np.ndarray) -> np.ndarray:
     ``(d_out, n d_in)``, times the conjugated operators laid out the same way
     and transposed.
     """
-    rho = _input_state(ch, rho)
+    rho = square_matrix(rho, ch.d_in)
     ks, d_out = ch.kraus, ch.d_out
     products = (ks @ rho).transpose(1, 0, 2).reshape(d_out, -1)
     return products @ ks.conj().transpose(1, 0, 2).reshape(d_out, -1).T
@@ -196,7 +186,7 @@ def complementary_output(ch: Channel, rho: np.ndarray) -> np.ndarray:
     Entry ``(a, b)`` is ``Tr(K_a rho K_b^dag)``; the result is a valid
     density matrix of dimension equal to the Kraus count.
     """
-    rho = _input_state(ch, rho)
+    rho = square_matrix(rho, ch.d_in)
     ks = ch.kraus
     n = ch.n_kraus
     products = (ks @ rho).reshape(n, -1)

@@ -236,9 +236,10 @@ def _holevo_objective(ch: Channel):
     and ``s0 = S(m0)``, ``s1 = S(m1)`` are its values at ``w = 1`` and ``w = 0``,
     taken once. With ``du = u(1) - u(0)``,
     ``L = log2((h + R) / (h - R))`` and ``k = u . du / R``,
-    ``chi' = s1 - s0 - k L`` and ``chi'' = -((|du|^2 - k^2) L / R + 2 h k^2 / (ln 2 (h^2 - R^2)))``.
-    Where ``u . du = 0`` or ``h - R <= 0`` (``m0 = m1`` pure, where chi
-    vanishes), ``chi' = s1 - s0`` and ``chi''`` reads 0.
+    ``chi' = s1 - s0 - k L`` and ``chi'' = -((|du|^2 - k^2) L / R + 2 h k^2 / (ln 2 (h^2 - R^2)))``,
+    ``L / R`` taken as ``2 atanh(R / h) / (ln 2 R)``, which keeps its precision where
+    ``R << h``, and as its limit ``2 / (ln 2 h)`` at ``R = 0``. Where ``h - R <= 0``
+    (``m0 = m1`` pure, where chi vanishes), ``chi' = s1 - s0`` and ``chi''`` reads 0.
     """
     cols = ch.kraus.reshape(ch.n_kraus, -1, 2, 2)
     m0, m1 = np.einsum("arti,arui->itu", cols, cols.conj()).tolist()
@@ -259,15 +260,17 @@ def _holevo_objective(ch: Channel):
         a, d, b = mixture(w)
         half, u = 0.5 * (a + d), (0.5 * (a - d), b.real, b.imag)
         radius = math.hypot(*u)
-        dot = u[0] * du[0] + u[1] * du[1] + u[2] * du[2]
-        if dot == 0.0 or half - radius <= 0.0:
+        if half - radius <= 0.0:
             return s1 - s0, 0.0
+        if radius == 0.0:
+            return s1 - s0, -2.0 * du2 / (_LN2 * half)
         log_ratio = math.log2((half + radius) / (half - radius))
-        k2 = (dot / radius) ** 2
-        curvature = (du2 - k2) * log_ratio / radius + 2.0 * half * k2 / (
+        per_radius = 2.0 * math.atanh(radius / half) / (_LN2 * radius)
+        k = (u[0] * du[0] + u[1] * du[1] + u[2] * du[2]) / radius
+        curvature = (du2 - k * k) * per_radius + 2.0 * half * k * k / (
             _LN2 * (half - radius) * (half + radius)
         )
-        return s1 - s0 - dot / radius * log_ratio, -curvature
+        return s1 - s0 - k * log_ratio, -curvature
 
     return holevo, derivatives
 

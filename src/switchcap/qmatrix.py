@@ -6,14 +6,16 @@ everything is dense and eager; no attempt is made at sparsity or
 large-dimension performance.
 
 Entropies are reported in bits (log base 2) throughout. This module owns the
-entry rules: the checks, and their error texts, of matrices, states,
-subsystem dimensions and probabilities; every other module calls them.
+entry rules, checks and texts, of matrices (finite, square, Hermitian,
+positive), states, subsystem dimensions and probabilities. The sum rules of an
+``Ensemble`` and a Pauli channel stay where each distribution is formed whole.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -24,8 +26,8 @@ __all__ = [
     "SIGMA_Z",
     "PAULIS",
     "HERMITIAN_TOL",
-    "EIGENVALUE_FLOOR",
     "as_complex_matrix",
+    "square_matrix",
     "subsystem_dims",
     "probability",
     "partial_trace",
@@ -43,11 +45,8 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 #: The Pauli operators ``I, X, Y, Z`` stacked, shape ``(4, 2, 2)``.
 PAULIS = np.stack((IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z))
 
-#: Tolerance for Hermiticity and trace checks (max-abs deviation).
+#: Tolerance for Hermiticity, trace and positivity checks (max-abs deviation).
 HERMITIAN_TOL = 1e-10
-#: Eigenvalues above this floor are treated as floating-point slack and
-#: clamped to zero; anything below it is a genuine positivity violation.
-EIGENVALUE_FLOOR = -1e-10
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -58,6 +57,22 @@ def as_complex_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
+
+
+def square_matrix(a, side: Optional[int] = None) -> np.ndarray:
+    """``a`` by :func:`as_complex_matrix`, rejected unless square, and ``side x side`` when given."""
+    m = as_complex_matrix(a)
+    n = m.shape[0] if side is None else side
+    if m.shape != (n, n):
+        of_side = "" if side is None else f" of side {side}"
+        raise ValueError(f"expected a square matrix{of_side}, got shape {m.shape}")
+    return m
+
+
+def _require_positive(eigs: np.ndarray) -> None:
+    """Raise unless every eigenvalue is at least ``-HERMITIAN_TOL``, the slack of a positive matrix."""
+    if eigs.size and eigs.min() < -HERMITIAN_TOL:
+        raise ValueError(f"eigenvalue {eigs.min():.3e} below positivity floor")
 
 
 def subsystem_dims(dims) -> tuple:
@@ -97,17 +112,12 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> 
     Raises
     ------
     ValueError
-        If a dimension is not a positive integer, ``prod(dims)`` does not
-        match the matrix dimension, or ``keep`` is empty, out of range or
-        holds a non-integer.
+        If a dimension is not a positive integer, the matrix is not square
+        of side ``prod(dims)``, or ``keep`` is empty, out of range or holds
+        a non-integer.
     """
-    rho = as_complex_matrix(rho)
     dims = subsystem_dims(dims)
-    total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise ValueError(
-            f"matrix of shape {rho.shape} does not factor as subsystems {dims}"
-        )
+    rho = square_matrix(rho, math.prod(dims))
     keep = tuple(keep)
     try:
         keep = sorted(set(map(operator.index, keep)))
@@ -132,9 +142,9 @@ def eig_hermitian(h: np.ndarray) -> np.ndarray:
 
     Uses a dedicated Hermitian solver so the spectrum is real by
     construction. Raises ``ValueError`` if ``h`` deviates from Hermiticity
-    by more than ``HERMITIAN_TOL`` in max-abs norm, after :func:`as_complex_matrix`.
+    by more than ``HERMITIAN_TOL`` in max-abs norm, after :func:`square_matrix`.
     """
-    h = as_complex_matrix(h)
+    h = square_matrix(h)
     dev = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
     if dev > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
@@ -144,13 +154,12 @@ def eig_hermitian(h: np.ndarray) -> np.ndarray:
 def entropy_of_spectrum(eigs: np.ndarray) -> float:
     """Shannon entropy in bits of a probability spectrum, with 0 log 0 = 0.
 
-    Eigenvalues in ``[EIGENVALUE_FLOOR, 0)`` are clamped to zero (and values
-    marginally above 1 down to 1) before the logarithm; anything below the
-    floor raises, since that indicates a genuinely non-positive state.
+    Eigenvalues in ``[-HERMITIAN_TOL, 0)`` are clamped to zero (and values
+    marginally above 1 down to 1) before the logarithm; anything below
+    raises, since that indicates a genuinely non-positive state.
     """
     eigs = np.asarray(eigs, dtype=float)
-    if eigs.size and eigs.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"eigenvalue {eigs.min():.3e} below positivity floor")
+    _require_positive(eigs)
     clamped = np.clip(eigs, 0.0, 1.0)
     nonzero = clamped[clamped > 0.0]
     return float(-(nonzero * np.log2(nonzero)).sum())
@@ -164,20 +173,17 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Raise ``ValueError`` unless ``rho`` satisfies all density-matrix invariants.
 
-    Checks, each within ``HERMITIAN_TOL``: finite entries, Hermiticity
-    (max-abs deviation of ``rho - rho†``, by :func:`eig_hermitian`), unit
-    trace, and eigenvalues bounded below by ``-HERMITIAN_TOL``. Returns
-    ``rho`` as the checked complex matrix.
+    Checks, each within ``HERMITIAN_TOL``: finite entries, squareness and
+    Hermiticity (max-abs deviation of ``rho - rho†``), by
+    :func:`eig_hermitian`, then unit trace and the positivity floor of
+    :func:`entropy_of_spectrum`. Returns ``rho`` as the checked complex matrix.
     """
     rho = as_complex_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got {rho.shape}")
     eigs = eig_hermitian(rho)
     tr = np.trace(rho)
     if abs(tr - 1.0) > HERMITIAN_TOL:
         raise ValueError(f"trace {tr} differs from 1 by more than {HERMITIAN_TOL}")
-    if eigs.min() < -HERMITIAN_TOL:
-        raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
+    _require_positive(eigs)
     return rho
 
 

@@ -5,11 +5,20 @@ from hypothesis import assume
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from switchcap import infotheory
+from switchcap import infotheory, supermaps
 from switchcap.channels import Channel
-from switchcap.supermaps import Family, family_channels
+from switchcap.supermaps import Family, concentrated_amplitudes, family_channels
 from switchcap.qmatrix import partial_trace
 from switchcap.supermaps import coherent_superposition, fold, switch
+
+#: Four-leaf trees outside the six configurations, where a switch and a
+#: superposition are siblings.
+HYBRID_TREES = [
+    ("coh", ("switch", 0, 1), ("coh", 2, 3)),
+    ("coh", ("coh", 0, 1), ("switch", 2, 3)),
+    ("switch", ("coh", 0, 1), ("switch", 2, 3)),
+    ("switch", ("switch", 0, 1), ("coh", 2, 3)),
+]
 
 
 def projector(vec):
@@ -123,6 +132,73 @@ def uncompressed_fixed(ch):
     d_control = ch.d_in // d_target
     embed = np.kron(np.full((d_control, 1), d_control**-0.5), np.eye(d_target))
     return Channel(tuple(m @ embed for m in ch.kraus), (d_target,), ch.output_dims)
+
+
+def choi(kraus):
+    """Choi matrix ``sum_a vec(A_a) vec(A_a)^dag``, ``vec`` row-major, as a ``(o, i, o', i')`` array."""
+    return np.einsum("aoi,apj->oipj", kraus, kraus.conj())
+
+
+def root_fixed_choi(rule, first, second, vector=None):
+    """Choi matrix of the root ``rule`` over ``first`` and ``second``, control fixed at ``|+...+>``.
+
+    An independent reference for ``fix_control`` of a composed root: no
+    root Kraus operator is formed. ``E = |+...+> (x) I`` embeds the target
+    in the children's own controls, and ``J_XE`` is ``X``'s Choi matrix
+    through ``E``. The root control splits the result into 2 x 2 blocks:
+
+    - switch: ``(L (x) id)(J_KE) / 2`` and ``(K (x) id)(J_LE) / 2`` on the
+      diagonal, ``sum J_L[a,b,f,g] J_K[b,e,c,f] E[e,x] conj(E[g,y]) / 2`` off
+      it, a function of the children's Choi matrices alone;
+    - superposition with ``vector`` (``None`` the concentrated default) for
+      both children: ``J_KE / 2`` and ``J_LE / 2`` on the diagonal and
+      ``v_K v_L^dag / 2`` off it, ``v = vec(F E)`` with ``F = sum conj(gamma_a)
+      M_a`` over the child's operators ``M_a``.
+    """
+    d, d_t = first.d_in, first.input_dims[-1]
+    d_c = d // d_t
+    embed = np.kron(np.full((d_c, 1), d_c**-0.5), np.eye(d_t))
+    jk, jl = choi(first.kraus), choi(second.kraus)
+
+    def through(j):
+        return np.einsum("befg,ex,gy->bxfy", j, embed, embed.conj())
+
+    if rule == "switch":
+        first_path = np.einsum("abcf,bxfy->axcy", jl, through(jk))
+        second_path = np.einsum("abcf,bxfy->axcy", jk, through(jl))
+        coherence = np.einsum("abfg,becf,ex,gy->axcy", jl, jk, embed, embed.conj())
+    else:
+        gamma = concentrated_amplitudes(first.n_kraus) if vector is None else np.asarray(vector)
+        vk, vl = (np.tensordot(gamma.conj(), c.kraus, axes=1) @ embed for c in (first, second))
+        first_path, second_path = through(jk), through(jl)
+        coherence = np.einsum("ax,cy->axcy", vk, vl.conj())
+    out = np.empty((2, d, d_t, 2, d, d_t), dtype=complex)
+    out[0, :, :, 0], out[1, :, :, 1] = first_path, second_path
+    out[0, :, :, 1], out[1, :, :, 0] = coherence, coherence.transpose(2, 3, 0, 1).conj()
+    return 0.5 * out.reshape(2 * d * d_t, -1)
+
+
+def tree_fixed_choi(kind, channels, node_amps):
+    """:func:`root_fixed_choi` of the tree of ``kind``, vectors consumed as ``compose`` takes them.
+
+    Inner nodes are built by the public ``switch`` and
+    ``coherent_superposition``; only the root is folded at the Choi level.
+    """
+    vectors = iter(node_amps)
+
+    def build(node):
+        if isinstance(node, int):
+            return channels[node]
+        rule, first, second = node
+        first, second = build(first), build(second)
+        if rule == "switch":
+            return switch(first, second)
+        vec = next(vectors)
+        return coherent_superposition(first, vec, second, vec)
+
+    rule, first, second = supermaps._TREES[kind]
+    first, second = build(first), build(second)
+    return root_fixed_choi(rule, first, second, next(vectors) if rule == "coh" else None)
 
 
 def reference_bfgs(x, gtol, maxiter):

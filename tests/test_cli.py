@@ -493,18 +493,18 @@ class TestOptimizerSettings:
         assert args.tol == (1e-3 if argv == ["validate"] else cfg.tolerance)
 
 
+def run_module(*args):
+    """``python -m switchcap.cli`` as a process, so ``main_entry`` sets its exit status."""
+    paths = [str(Path(switchcap.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, "-m", "switchcap.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestEntryPoint:
     def test_python_dash_m(self):
-        # ``python -m switchcap.cli`` as a process: ``main_entry``'s exit status and streams.
-        paths = [str(Path(switchcap.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-
-        def run_module(*args):
-            return subprocess.run(
-                [sys.executable, "-m", "switchcap.cli", *args],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-
         proc = run_module("sweep", "--no-such-flag")
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
@@ -516,3 +516,12 @@ class TestEntryPoint:
         assert proc.stdout.split("\n")[0] == (
             "p,configuration,family,capacity_type,amplitudes,value,converged,restarts,seed"
         )
+
+    @pytest.mark.parametrize(
+        ("argv", "code"),
+        [(["validate", "--p-steps", "2"], 0), (["validate", "--tol", "0"], 1)],
+        ids=["validate", "usage_error"],
+    )
+    def test_validate_exit_status(self, argv, code):
+        proc = run_module(*argv)
+        assert proc.returncode == code, proc.stderr

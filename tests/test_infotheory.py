@@ -116,14 +116,18 @@ def drawn_amplitude_channel():
 def entropy_and_gradient_by_rows(maps, r):
     """Reference for ``infotheory._entropy_and_gradient``: each row reduced alone.
 
-    The state is assembled as the stacked pass assembles it, so both see the
-    same spectrum; the entropy and ``-Tr(maps[i+1] log2 rho)`` are then sums
-    over the eigenpairs kept above the floor.
+    The state is assembled as the stacked pass assembles it, ``maps[0]`` plus
+    the product of the row with the real view of the flattened slopes, so
+    both see the same spectrum: a sum in another order can put an eigenvalue
+    of a pure row on the other side of the floor. The entropy and
+    ``-Tr(maps[i+1] log2 rho)`` are then sums over the eigenpairs kept above
+    the floor.
     """
     values, grads = [], []
+    flat = maps.reshape(len(maps), -1)
     for x in r:
-        state = maps[0] + x[0] * maps[1] + x[1] * maps[2] + x[2] * maps[3]
-        eigvals, eigvecs = np.linalg.eigh(state)
+        state = flat[0] + (x @ flat[1:].view(np.float64)).view(np.complex128)
+        eigvals, eigvecs = np.linalg.eigh(state.reshape(maps.shape[1:]))
         keep = eigvals > infotheory._SPECTRUM_FLOOR
         weights, vecs = eigvals[keep], eigvecs[:, keep]
         logs = np.log2(weights)
@@ -591,6 +595,29 @@ class TestClosedFormObjective:
         central = (derivatives(w + h)[0] - derivatives(w - h)[0]) / (2 * h)
         assert curvature <= 0.0
         assert curvature == pytest.approx(central, rel=1e-5, abs=1e-5)
+
+    @staticmethod
+    def _rounded_unitary():
+        """A unitary from QR, whose marginals at ``w = 1/2`` leave R = 1.4e-17, not 0."""
+        isometry, _ = np.linalg.qr(np.ones((2, 2)) * (1 + 1j))
+        return Channel(isometry.reshape(1, 2, 2), (2,), (2,))
+
+    @pytest.mark.parametrize(
+        "make",
+        [identity_channel, lambda: bit_flip(0.0), lambda: phase_flip(0.4), _rounded_unitary],
+        ids=["identity", "bitflip0", "phaseflip", "rounded_unitary"],
+    )
+    def test_curvature_where_the_mixture_is_maximally_mixed(self, make):
+        # M(1/2) = I/2 puts R = 0, where chi'' takes its limit -2 |du|^2 / (ln 2 h):
+        # -4 / ln 2 with orthogonal pure marginals, as the slope's central difference.
+        # At R = 1.4e-17, L / R by log2 of the eigenvalue ratio read -6.68.
+        _, derivatives = infotheory._holevo_objective(make())
+        slope, curvature = derivatives(0.5)
+        h = 1e-6
+        central = (derivatives(0.5 + h)[0] - derivatives(0.5 - h)[0]) / (2 * h)
+        assert abs(slope) <= 1e-15
+        assert curvature == pytest.approx(-4 / math.log(2), rel=1e-12)
+        assert curvature == pytest.approx(central, rel=1e-5)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_pure_marginals_at_zero_noise(self, kind):
@@ -1072,15 +1099,8 @@ class TestBlochObjective:
             # The stacked pass agrees with the rows reduced one at a time; and a
             # pure input gives equal output and environment entropies, which
             # the objective relies on to answer |x| >= 1 without eigh.
-            rows, entropies = np.array([r, sphere, *np.eye(3)]), []
-            for image in (apply, complementary_output):
-                maps = np.array([image(fixed, half) for half in infotheory._PAULI_HALVES])
-                values, grads = infotheory._entropy_and_gradient(maps, rows)
-                expected_values, expected_grads = entropy_and_gradient_by_rows(maps, rows)
-                assert_allclose(values, expected_values, rtol=0, atol=1e-12)
-                assert_allclose(grads, expected_grads, rtol=0, atol=1e-10)
-                entropies.append(values[1:])
-            assert_allclose(*entropies, rtol=0, atol=1e-12)
+            output, environment = self._stacked_matches_rows(fixed, [r, sphere, *np.eye(3)])
+            assert_allclose(output[1:], environment[1:], rtol=0, atol=1e-12)
             values, grads = objective(np.array([*np.eye(3), 2 * sphere, -1.5 * sphere]))
             assert np.array_equal(values, np.zeros(5))
             assert np.array_equal(grads, np.zeros((5, 3)))
@@ -1096,6 +1116,28 @@ class TestBlochObjective:
                 fixed.output_dims,
             )
             assert quantum_capacity(mixed).value == pytest.approx(res.value, abs=1e-9)
+
+    @staticmethod
+    def _stacked_matches_rows(fixed, rows) -> list:
+        """Output and environment entropies of the stacked pass, checked row by row."""
+        rows, entropies = np.array(rows), []
+        for image in (apply, complementary_output):
+            maps = np.array([image(fixed, half) for half in infotheory._PAULI_HALVES])
+            values, grads = infotheory._entropy_and_gradient(maps, rows)
+            expected_values, expected_grads = entropy_and_gradient_by_rows(maps, rows)
+            assert_allclose(values, expected_values, rtol=0, atol=1e-12)
+            assert_allclose(grads, expected_grads, rtol=0, atol=1e-10)
+            entropies.append(values)
+        return entropies
+
+    def test_near_unitary_leaf_at_a_pure_row(self):
+        # A second Kraus operator of 8.4e-8 leaves an output eigenvalue near
+        # the spectrum floor at a pure row. Summed as maps[0] + x0 maps[1] + ...,
+        # the reference put it on the other side and read gradients 1e-2 off.
+        corner = np.array([[1, 1], [1, -1], [2.0**-23, 0], [0, 0]], dtype=complex)
+        isometry, _ = np.linalg.qr(corner)
+        leaf = Channel(isometry.reshape(2, 2, 2), (2,), (2,))
+        self._stacked_matches_rows(fix_control(switch(leaf, identity_channel())), [np.ones(3) / 3**0.5])
 
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize(

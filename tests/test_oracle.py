@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _helpers import drawn_node_amps, eligible_families
+from _helpers import HYBRID_TREES, drawn_node_amps, eligible_families
 from switchcap import supermaps
 from switchcap.supermaps import Family, build_fixed, family_channels
 from switchcap.infotheory import target_marginal
@@ -217,15 +217,7 @@ class TestFlipProbabilityModel:
                 numeric = _flip_of_kraus_build(kind, family, p, drawn_node_amps(rng, kind, n))
                 assert numeric == pytest.approx(expected, abs=1e-12), (family, p)
 
-    @pytest.mark.parametrize(
-        "tree",
-        [
-            ("coh", ("switch", 0, 1), ("coh", 2, 3)),
-            ("coh", ("coh", 0, 1), ("switch", 2, 3)),
-            ("switch", ("coh", 0, 1), ("switch", 2, 3)),
-            ("switch", ("switch", 0, 1), ("coh", 2, 3)),
-        ],
-    )
+    @pytest.mark.parametrize("tree", HYBRID_TREES)
     def test_hybrid_trees_match_kraus_build(self, tree, monkeypatch):
         # Trees outside the six, where a switch and a superposition are
         # siblings: the switch's doubled branches keep the weights right.

@@ -3,7 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from _helpers import direct_sum, projector, random_density, random_unitary
+from switchcap.channels import apply, bit_flip, complementary_output
+from switchcap.infotheory import coherent_information, exchange_entropy
 from switchcap.qmatrix import (
+    HERMITIAN_TOL,
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Z,
@@ -12,6 +15,7 @@ from switchcap.qmatrix import (
     eig_hermitian,
     entropy_of_spectrum,
     partial_trace,
+    square_matrix,
     unit_vector,
     von_neumann_entropy,
 )
@@ -65,6 +69,58 @@ class TestAsComplexMatrix:
             as_complex_matrix(m)
 
 
+class TestSquareMatrix:
+    def test_returns_the_checked_complex_matrix(self):
+        m = square_matrix([[1, 2], [3, 4]], 2)
+        assert m.dtype == complex and m.tolist() == [[1, 2], [3, 4]]
+        assert square_matrix(np.eye(3)).shape == (3, 3)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3, 2)])
+    def test_rejects_a_rectangle(self, shape):
+        message = rf"^expected a square matrix, got shape \({shape[0]}, {shape[1]}\)$"
+        with pytest.raises(ValueError, match=message):
+            square_matrix(np.ones(shape))
+
+    def test_names_the_side_it_expects(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix of side 2, got shape \(4, 4\)$"):
+            square_matrix(np.eye(4), 2)
+
+    def test_finiteness_and_rank_are_checked_first(self):
+        with pytest.raises(ValueError, match=r"^expected a 2-D matrix, got shape \(2,\)$"):
+            square_matrix(np.ones(2), 2)
+        with pytest.raises(ValueError, match=r"^matrix contains NaN or Inf entries$"):
+            square_matrix([[np.nan, 0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            eig_hermitian,
+            von_neumann_entropy,
+            assert_density_matrix,
+            lambda m: partial_trace(m, (2,), keep=[0]),
+            lambda m: apply(bit_flip(0.1), m),
+            lambda m: complementary_output(bit_flip(0.1), m),
+            lambda m: exchange_entropy(bit_flip(0.1), m),
+            lambda m: coherent_information(bit_flip(0.1), m),
+        ],
+        ids=[
+            "eig_hermitian",
+            "von_neumann_entropy",
+            "assert_density_matrix",
+            "partial_trace",
+            "apply",
+            "complementary_output",
+            "exchange_entropy",
+            "coherent_information",
+        ],
+    )
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3)])
+    def test_every_entry_point_applies_the_one_rule(self, entry, shape):
+        # Neither numpy's broadcast text nor LinAlgError: the one rule's text.
+        with pytest.raises(ValueError, match=r"^expected a square matrix(?: of side 2)?, got shape"):
+            entry(np.ones(shape) / 3)
+
+
 class TestPartialTrace:
     def test_product_state(self):
         rho00 = projector(np.kron(KET0, KET0))
@@ -95,7 +151,7 @@ class TestPartialTrace:
 
     def test_malformed_factorization_raises(self):
         rho = np.eye(4) / 4
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^expected a square matrix of side 6, got shape \(4, 4\)$"):
             partial_trace(rho, (2, 3), keep=[0])
         with pytest.raises(ValueError):
             partial_trace(rho, (2, 2), keep=[])
@@ -186,8 +242,18 @@ class TestEntropy:
     def test_eigenvalue_clamping(self):
         # Slack just above the floor is clamped to zero rather than NaN.
         assert entropy_of_spectrum(np.array([1.0, -5e-11])) == pytest.approx(0.0)
-        with pytest.raises(ValueError, match="floor"):
+        with pytest.raises(ValueError, match=r"^eigenvalue -1\.000e-08 below positivity floor$"):
             entropy_of_spectrum(np.array([1.0, -1e-8]))
+
+    def test_one_positivity_floor_for_entropies_and_states(self):
+        # Both floors are -HERMITIAN_TOL, and both word a violation alike.
+        edge = np.diag([1.0 + HERMITIAN_TOL, -HERMITIAN_TOL])
+        assert von_neumann_entropy(edge) == 0.0
+        assert_allclose(assert_density_matrix(edge), edge)
+        below = np.diag([1.0 + 2e-10, -2e-10])
+        for check in (von_neumann_entropy, assert_density_matrix):
+            with pytest.raises(ValueError, match=r"^eigenvalue -2\.000e-10 below positivity floor$"):
+                check(below)
 
 
 class TestDensityValidation:
@@ -201,8 +267,8 @@ class TestDensityValidation:
         [
             (np.eye(2), "trace"),
             (np.array([[0.5, 0.5], [-0.5, 0.5]]), "not Hermitian"),
-            (np.diag([1.5, -0.5]), "negative eigenvalue"),
-            (np.ones((2, 3)) / 3, r"^density matrix must be square, got \(2, 3\)$"),
+            (np.diag([1.5, -0.5]), r"^eigenvalue -5\.000e-01 below positivity floor$"),
+            (np.ones((2, 3)) / 3, r"^expected a square matrix, got shape \(2, 3\)$"),
         ],
     )
     def test_rejects_invalid(self, rho, message):

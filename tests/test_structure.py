@@ -185,6 +185,7 @@ def test_check_sees_unread_private_names(tmp_path):
 #: Texts of the entry rules: only :mod:`switchcap.qmatrix` decides and words them.
 STATE_RULE_TEXTS = ("matrix contains NaN or Inf entries", "not Hermitian", "below positivity floor")
 ENTRY_RULE_TEXTS = STATE_RULE_TEXTS + (
+    "expected a square matrix",
     "subsystem dimensions must be positive integers",
     # The CLI's own "--p-start and --p-end must lie in [0, 1]" has no ", got".
     "must lie in [0, 1], got",

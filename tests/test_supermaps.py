@@ -10,7 +10,9 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from _helpers import (
+    HYBRID_TREES,
     channel_pairs_and_states,
+    choi,
     direct_sum,
     eligible_families,
     plus_state,
@@ -19,6 +21,8 @@ from _helpers import (
     drawn_node_amps,
     random_unit_vector,
     reference_build,
+    root_fixed_choi,
+    tree_fixed_choi,
     uncompressed_fixed,
 )
 from switchcap import supermaps
@@ -829,3 +833,107 @@ class TestSequentialEquivalence:
             else:
                 expected = apply(e1, apply(e2, rho))
             assert_allclose(marginal, expected, atol=1e-12)
+
+
+def _fixed_choi(ch):
+    """Choi matrix of ``fix_control(ch)``, as the square matrix of ``root_fixed_choi``."""
+    kraus = fix_control(ch).kraus
+    side = kraus.shape[1] * kraus.shape[2]
+    return choi(kraus).reshape(side, side)
+
+
+@st.composite
+def qubit_leaves(draw, n):
+    """A qubit channel of ``n`` Kraus operators.
+
+    Either an isometry cut into ``n`` blocks, or (for ``n >= 2``) amplitude
+    damping padded with zero operators.
+    """
+    if n >= 2 and draw(st.booleans()):
+        g = draw(st.floats(0, 1))
+        kraus = np.zeros((n, 2, 2), dtype=complex)
+        kraus[0] = [[1, 0], [0, np.sqrt(1 - g)]]
+        kraus[1, 0, 1] = np.sqrt(g)
+        return Channel(kraus, (2,), (2,))
+    k = draw(arrays(np.float64, (2, 2 * n, 2), elements=st.floats(-1, 1)))
+    isometry, _ = np.linalg.qr(k[0] + 1j * k[1])
+    return Channel(isometry.reshape(n, 2, 2), (2,), (2,))
+
+
+def _mixed(ch, unitary):
+    """``ch`` with its Kraus operators mixed, ``K_i -> sum_a U_ia K_a``."""
+    return Channel(np.tensordot(unitary, ch.kraus, axes=1), ch.input_dims, ch.output_dims)
+
+
+class TestChoiReference:
+    """``fix_control`` of every composed root against a Choi-level fold of its children."""
+
+    TREES = [supermaps._TREES[kind] for kind in ALL_KINDS] + HYBRID_TREES
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_catalog_builds(self, kind):
+        rng = np.random.default_rng(14)
+        for family in eligible_families(kind):
+            n = 4 if family is Family.DEPOLARIZING else 2
+            for p in (0.0, 0.1, 0.3, 0.77, 1.0):
+                chans = family_channels(family, p, kind.n_channels)
+                for node_amps in (ROUTES[kind](None), drawn_node_amps(rng, kind, n)):
+                    assert_allclose(
+                        _fixed_choi(compose(kind, chans, node_amps)),
+                        tree_fixed_choi(kind, chans, node_amps),
+                        rtol=0, atol=1e-12,
+                    )
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        tree=st.sampled_from(TREES),
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_drawn_leaves_and_vectors(self, tree, n, seed, data):
+        kind = SupermapKind.COH_OF_COH
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(supermaps._TREES, kind, tree)
+            chans = [data.draw(qubit_leaves(n)) for _ in range(kind.n_channels)]
+            node_amps = drawn_node_amps(np.random.default_rng(seed), kind, n)
+            assert_allclose(
+                _fixed_choi(compose(kind, chans, node_amps)),
+                tree_fixed_choi(kind, chans, node_amps),
+                rtol=0, atol=1e-12,
+            )
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        first=qubit_leaves(3),
+        second=qubit_leaves(3),
+        parts=arrays(np.float64, (2, 2, 3, 3), elements=st.floats(-1, 1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_representation_invariants(self, first, second, parts, seed):
+        u, w = (np.linalg.qr(part[0] + 1j * part[1])[0] for part in parts)
+        # The switch depends on its children's channels alone.
+        assert_allclose(
+            _fixed_choi(switch(_mixed(first, u), _mixed(second, w))),
+            _fixed_choi(switch(first, second)),
+            rtol=0, atol=1e-12,
+        )
+        # A superposition depends on the representation only through
+        # F = sum conj(gamma_a) K_a, which the joint mixing gamma -> U gamma keeps.
+        gamma = random_unit_vector(np.random.default_rng(seed), 3)
+        first_u, second_u, gamma_u = _mixed(first, u), _mixed(second, u), u @ gamma
+        assert_allclose(
+            _fixed_choi(coherent_superposition(first_u, gamma_u, second_u, gamma_u)),
+            _fixed_choi(coherent_superposition(first, gamma, second, gamma)),
+            rtol=0, atol=1e-12,
+        )
+
+    def test_mixing_operators_alone_moves_a_superposition(self):
+        # One channel, one vector (1, 0), and F goes from sqrt(0.7) I to
+        # (sqrt(0.7) I + sqrt(0.3) X) / sqrt(2): the Choi matrix moves by 0.175.
+        e = bit_flip(0.3)
+        mixed = _mixed(e, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+        plain_choi = _fixed_choi(coherent_superposition(e, None, e, None))
+        mixed_choi = _fixed_choi(coherent_superposition(mixed, None, mixed, None))
+        assert np.abs(mixed_choi - plain_choi).max() >= 1e-2
+        assert_allclose(root_fixed_choi("coh", mixed, mixed), mixed_choi, rtol=0, atol=1e-12)
